@@ -42,10 +42,9 @@ def _load_system(path):
 
 def cmd_check(args):
     system = _load_system(args.file)
-    trees = build_all_deftrees(system)
+    build_all_deftrees(system)  # raises DefTreeError for a rejected system
     rule_count = sum(len(rs) for rs in system.rules.values())
     print(f"ok: {len(system.operations)} operation(s), {rule_count} rule(s)")
-    del trees
     return EXIT_OK
 
 

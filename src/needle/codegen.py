@@ -113,12 +113,6 @@ class ObjectProgram:
     specialized: dict  # operation Symbol -> its f^H Symbol (tr/or only)
     rule_groups: Optional[dict] = None  # filled lazily by the evaluator
 
-    @property
-    def evaluable(self):
-        if self.mode == "cr":
-            return {H, N}
-        return {N} | set(self.specialized.values())
-
 
 # ---- helpers ----------------------------------------------------------------
 
@@ -172,7 +166,6 @@ def _h(template):
 
 def compile_operation(system, op, tree, demanded, wrap):
     """Object H-rules for `op`, in priority order."""
-    taken = {f"x{i}" for i in range(1, op.arity + 1)}
     root_names = ["x", "y", "z", "w"][: op.arity]
     if op.arity > 4:
         root_names += [f"x{i}" for i in range(5, op.arity + 1)]

@@ -1,4 +1,4 @@
-"""Shared term-graph machinery: symbols, nodes, patterns, snapshots, erasure.
+"""Shared term-graph machinery: symbols, nodes, patterns, templates, rules.
 
 Terms are mutable graphs of `Node` objects.  A rewrite never edits a node in
 place; it sets the node's `forward` pointer to the replacement, and every
@@ -107,116 +107,6 @@ def child_at(node, path):
     for i in path:
         cur = resolve(cur.children[i])
     return cur
-
-
-# ---- snapshots --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Immutable copy of the reachable graph below a root.
-
-    `nodes` maps nid -> (label, tuple of child nids).  Node ids are stable
-    across snapshots of the same evaluation, so consecutive snapshots can be
-    correlated node-for-node.
-    """
-
-    root: int
-    nodes: dict
-
-
-def capture(root):
-    root = resolve(root)
-    nodes = {}
-    stack = [root]
-    while stack:
-        n = resolve(stack.pop())
-        if n.nid in nodes:
-            continue
-        kids = tuple(resolve(c).nid for c in n.children)
-        nodes[n.nid] = (n.label, kids)
-        stack.extend(n.children)
-    return Snapshot(root.nid, nodes)
-
-
-def erase(snap):
-    """Erase a snapshot: splice out H/N wrappers, relabel f^H back to f.
-
-    Returns (erased_snapshot, rep) where rep maps every original nid to the
-    nid representing it in the erased graph (wrappers map to what they wrap).
-    """
-    rep = {}
-    for nid in snap.nodes:
-        cur = nid
-        chain = []
-        while cur not in rep:
-            label, kids = snap.nodes[cur]
-            if isinstance(label, Symbol) and label.kind == CONTROL:
-                chain.append(cur)
-                cur = kids[0]
-            else:
-                rep[cur] = cur
-                break
-        target = rep[cur]
-        for c in chain:
-            rep[c] = target
-    root = rep[snap.root]
-    nodes = {}
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        if nid in nodes:
-            continue
-        label, kids = snap.nodes[nid]
-        if isinstance(label, Symbol) and label.kind == SPECIALIZED:
-            label = label.base
-        kids = tuple(rep[k] for k in kids)
-        nodes[nid] = (label, kids)
-        stack.extend(kids)
-    return Snapshot(root, nodes), rep
-
-
-def snapshots_equal(a, b):
-    """Tree-unfolding equality of two snapshots (insensitive to sharing)."""
-    seen = set()
-    stack = [(a.root, b.root)]
-    while stack:
-        x, y = stack.pop()
-        if (x, y) in seen:
-            continue
-        seen.add((x, y))
-        la, ka = a.nodes[x]
-        lb, kb = b.nodes[y]
-        if (la is not lb and la != lb) or len(ka) != len(kb):
-            return False
-        stack.extend(zip(ka, kb))
-    return True
-
-
-def term_of(snap, nid=None, override=None):
-    """Unfold (part of) a snapshot into nested `(label, kids_tuple)` tuples.
-
-    `override` may map a nid to a prebuilt term, which is spliced in place of
-    that node.  Shared nodes unfold to the same tuple object, so DAGs stay
-    cheap in memory.
-    """
-    if nid is None:
-        nid = snap.root
-    memo = dict(override) if override else {}
-    stack = [(nid, False)]
-    while stack:
-        cur, expanded = stack.pop()
-        if cur in memo:
-            continue
-        label, kids = snap.nodes[cur]
-        if expanded:
-            memo[cur] = (label, tuple(memo[k] for k in kids))
-        else:
-            stack.append((cur, True))
-            for k in kids:
-                if k not in memo:
-                    stack.append((k, False))
-    return memo[nid]
 
 
 # ---- patterns ---------------------------------------------------------------
@@ -396,7 +286,9 @@ INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
 
-def check_int(value):
+def int_op(name, a, b):
+    """The builtin `add` or `sub` on two Int values, checked against 64 bits."""
+    value = a + b if name == "add" else a - b
     if value < INT_MIN or value > INT_MAX:
         raise EvaluationError(f"integer overflow: {value} exceeds 64-bit range")
     return value

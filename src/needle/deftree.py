@@ -163,7 +163,7 @@ def _build(system, op, pattern, rules, guards):
 
 
 def _ctor_branch(system, op, pattern, rules, path, guards):
-    sort = _sort_at(op, pattern, path)
+    sort = _sort_at(pattern, path)
     if sort == INT_SORT:
         raise NotInductivelySequential(
             f"operation {op.name!r}: constructor pattern at an Int position")
@@ -207,8 +207,7 @@ def _int_branch(system, op, pattern, rules, path, guards, with_default):
     return DTIntBranch(path, children, default)
 
 
-def _sort_at(op, pattern, path):
-    sym = op
+def _sort_at(pattern, path):
     p = pattern
     for i in path[:-1]:
         p = p.args[i]

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from .core import (
     BUILTIN,
     CONSTRUCTOR,
+    INT_MAX,
+    INT_MIN,
     INT_SORT,
     OPERATION,
     NeedleError,
@@ -268,7 +270,11 @@ class _Parser:
     def parse_term(self):
         tok = self.next()
         if tok.kind == "int":
-            return ("lit", int(tok.text), tok)
+            value = int(tok.text)
+            if not INT_MIN <= value <= INT_MAX:
+                self.fail(f"integer literal {tok.text} is outside the "
+                          f"64-bit range", tok)
+            return ("lit", value, tok)
         if tok.kind != "name":
             self.fail("expected a term", tok)
         if tok.text == "_":

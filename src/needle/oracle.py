@@ -6,38 +6,20 @@ descends through argument positions its definitional tree demands, and
 contracts the redex found there.  Rewrites forward graph nodes, so shared
 subterms are evaluated once, exactly like the compiled evaluators.
 
-`validate_trace` replays a traced compiled run against the source system:
-erasing the evaluation wrappers from consecutive machine states must yield
-either equal graphs (dispatch/norm steps) or graphs one source-rule step
-apart, applied at the erased image of the machine redex — which must also be
-the redex the source strategy itself would pick.
+`validate_trace` replays a traced compiled run's rewrite log beside a live
+source graph.  Erasing the evaluation wrappers, each dispatch or norm step
+must leave the state unchanged, and each rewrite or shortcut step must be one
+source-rule step at the erased image of the machine redex, which must also be
+the redex the source strategy itself picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .core import (
-    BUILTIN,
-    EvaluationError,
-    Node,
-    PApp,
-    PLit,
-    PVar,
-    RApp,
-    RLit,
-    RVar,
-    Symbol,
-    capture,
-    check_int,
-    erase,
-    resolve,
-    snapshots_equal,
-    term_of,
-)
-from .deftree import Exempt, Redex, build_all_deftrees, needed_descent
-from .runtime import default_max_steps
+from .core import Node, PLit, PVar, RLit, RVar, Symbol, int_op, resolve
+from .deftree import Exempt, build_all_deftrees, needed_descent
+from .runtime import Replay, source_label, step_budget
 
 
 @dataclass
@@ -103,19 +85,21 @@ def apply_source_rule(rule, node):
     return _instantiate_source(rule.rhs, bindings)
 
 
-def _apply_builtin(node):
-    a = resolve(node.children[0]).label
-    b = resolve(node.children[1]).label
-    value = a + b if node.label.name == "add" else a - b
-    return Node(check_int(value))
+def _contract(found):
+    """The contractum of the needed redex `found`."""
+    node = found.node
+    if found.rule is None:
+        a = resolve(node.children[0]).label
+        b = resolve(node.children[1]).label
+        return Node(int_op(node.label.name, a, b))
+    return apply_source_rule(found.rule, node)
 
 
 def oracle_eval(system, root, max_steps=None, trees=None):
     """Drive `root` to constructor normal form with the source strategy."""
     if trees is None:
         trees = build_all_deftrees(system)
-    if max_steps is None:
-        max_steps = default_max_steps()
+    max_steps = step_budget(max_steps)
     clean = set()
     steps = 0
     while True:
@@ -129,11 +113,7 @@ def oracle_eval(system, root, max_steps=None, trees=None):
         if steps >= max_steps:
             return OracleResult("steplimit", root, steps)
         steps += 1
-        node = found.node
-        if found.rule is None:
-            node.forward = _apply_builtin(node)
-        else:
-            node.forward = apply_source_rule(found.rule, node)
+        found.node.forward = _contract(found)
 
 
 # ---- trace validation ---------------------------------------------------------
@@ -159,179 +139,154 @@ class ValidationReport:
         return not self.violations
 
 
-def _snap_first_op(snap):
-    stack = [snap.root]
-    seen = set()
+def _source_copy(replay, root):
+    """Copy the erased state below `root` into a fresh source graph.
+
+    Returns the source root and the image map: erased machine nid -> the
+    source node standing for it.
+    """
+    image = {}
+    top = replay.erased(root)
+    stack = [top]
     while stack:
-        nid = stack.pop()
-        if nid in seen:
+        node = stack[-1]
+        if node.nid in image:
+            stack.pop()
             continue
-        seen.add(nid)
-        label, kids = snap.nodes[nid]
-        if isinstance(label, Symbol) and label.is_op:
-            return nid
-        stack.extend(reversed(kids))
-    return None
+        kids = [replay.erased(c) for c in node.children]
+        todo = [k for k in kids if k.nid not in image]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        image[node.nid] = Node(source_label(node.label),
+                               [image[k.nid] for k in kids])
+    return image[top.nid], image
 
 
-def _snap_descent(system, trees, snap, nid):
-    """Needed-redex descent over a snapshot; mirrors `needed_descent`."""
-    from .deftree import DTBranch, DTExempt, DTIntBranch, DTRule
+def _same_graph(replay, machine, source, image):
+    """Whether the erased machine graph at `machine` is the source graph at
+    `source`.
 
-    while True:
-        label, kids = snap.nodes[nid]
-        if label.kind == BUILTIN:
-            descended = False
-            for k in kids:
-                klabel, _ = snap.nodes[k]
-                if isinstance(klabel, Symbol) and klabel.is_op:
-                    nid = k
-                    descended = True
-                    break
-            if descended:
-                continue
-            return ("redex", nid, None)
-        cur = trees[label]
-        descend_to = None
-        while True:
-            if isinstance(cur, DTRule):
-                return ("redex", nid, cur.rule)
-            if isinstance(cur, DTExempt):
-                return ("exempt", nid, None)
-            sub = nid
-            for i in cur.path:
-                sub = snap.nodes[sub][1][i]
-            sub_label = snap.nodes[sub][0]
-            if isinstance(sub_label, Symbol) and sub_label.is_op:
-                descend_to = sub
-                break
-            if isinstance(cur, DTBranch):
-                nxt = None
-                for ctor, subtree in cur.children:
-                    if ctor is sub_label:
-                        nxt = subtree
-                        break
-                assert nxt is not None, "branch met an unknown constructor"
-                cur = nxt
-            else:
-                nxt = None
-                for value, subtree in cur.children:
-                    if value == sub_label:
-                        nxt = subtree
-                        break
-                if nxt is None:
-                    nxt = cur.default
-                if nxt is None:
-                    return ("exempt", nid, None)
-                cur = nxt
-        nid = descend_to
-
-
-def _match_term(pattern, term, bindings):
-    label, kids = term
-    if isinstance(pattern, PVar):
-        bindings[pattern.name] = term
-        return True
-    if isinstance(pattern, PLit):
-        return isinstance(label, int) and label == pattern.value
-    if label is not pattern.label:
-        return False
-    return all(_match_term(p, k, bindings)
-               for p, k in zip(pattern.args, kids))
-
-
-def _instantiate_term(template, bindings):
-    if isinstance(template, RVar):
-        return bindings[template.name]
-    if isinstance(template, RLit):
-        return (template.value, ())
-    return (template.label,
-            tuple(_instantiate_term(c, bindings) for c in template.children))
-
-
-def _source_step_term(rule, term):
-    if rule is None:  # builtin
-        label, kids = term
-        a, b = kids[0][0], kids[1][0]
-        value = a + b if label.name == "add" else a - b
-        return (check_int(value), ())
-    bindings = {}
-    if not _match_term(rule.lhs, term, bindings):
-        return None
-    return _instantiate_term(rule.rhs, bindings)
+    The walk stops at machine nodes whose image is known, which must be the
+    very source node met there.  Every other machine node must carry the
+    label of its source counterpart, and becomes its image.
+    """
+    stack = [(machine, source)]
+    while stack:
+        m, s = stack.pop()
+        m = replay.erased(m)
+        s = resolve(s)
+        known = image.get(m.nid)
+        if known is not None:
+            if known is not s:
+                return False
+            continue
+        if source_label(m.label) != s.label \
+                or len(m.children) != len(s.children):
+            return False
+        image[m.nid] = s
+        stack.extend(zip(m.children, s.children))
+    return True
 
 
 def validate_trace(system, result, trees=None):
     """Check a traced compiled run step by step against the source system.
 
-    Checks, per step: dispatch/norm steps leave the erased state unchanged,
-    and the argument a dispatch rule forces is operation-rooted; rewrite and
-    shortcut steps perform exactly one source-rule step, at the node the
-    source strategy itself demands.  For completed runs the final state must
-    be wrapper-free.  Returns a ValidationReport.
+    The rewrite log is replayed beside a source graph copied from the erased
+    start state.  Per step: dispatch/norm steps leave the erased state
+    unchanged, and the argument a dispatch rule forces is operation-rooted;
+    rewrite and shortcut steps perform exactly one source-rule step, at the
+    node the source strategy itself demands.  After a violation the source
+    graph is copied afresh, so each step is judged on its own.  For completed
+    runs the final state must be wrapper-free.  Returns a ValidationReport.
     """
     assert result.trace is not None, "run the evaluator with trace=True"
     if trees is None:
         trees = build_all_deftrees(system)
+    replay = Replay()
     violations = []
     proper = 0
-    snaps = [step.pre for step in result.trace] + [result.final]
+    image = None
     for i, step in enumerate(result.trace):
-        pre, post = snaps[i], snaps[i + 1]
-        epre, rep = erase(pre)
-        epost, _ = erase(post)
+        if image is None:
+            root, image = _source_copy(replay, result.start)
+            clean = set()
         rule = step.rule
+        redex = replay.erased(step.redex)
+        faults = []
         if rule.step_class in ("dispatch", "norm"):
-            if not snapshots_equal(epre, epost):
-                violations.append(Violation(
-                    i, "state-changed",
-                    f"{rule.origin} step altered the erased state"))
             if rule.dispatch_path is not None:
-                sub = step.redex_nid
-                for j in rule.dispatch_path:
-                    sub = pre.nodes[sub][1][j]
-                sub_label = pre.nodes[sub][0]
-                if not (isinstance(sub_label, Symbol) and sub_label.is_op):
-                    violations.append(Violation(
-                        i, "dispatch-target",
-                        f"dispatch forced a non-operation node {sub}"))
-            continue
-        # rewrite / shortcut: one source step at the erased redex image
-        proper += 1
-        e = rep.get(step.redex_nid)
-        first = _snap_first_op(epre)
-        if first is None:
-            violations.append(Violation(
-                i, "no-redex", "proper step in an operation-free state"))
-            continue
-        kind, want, want_rule = _snap_descent(system, trees, epre, first)
-        if kind != "redex" or want != e:
-            violations.append(Violation(
-                i, "not-needed",
-                f"step fired at node {e}, strategy demands node {want}"))
-            continue
-        src = rule.source if rule.builtin_op is None else None
-        if rule.builtin_op is None and src is not want_rule:
-            violations.append(Violation(
-                i, "wrong-rule",
-                f"step used rule {src}, strategy demands {want_rule}"))
-            continue
-        redex_term = term_of(epre, e)
-        contract = _source_step_term(src, redex_term)
-        if contract is None:
-            violations.append(Violation(
-                i, "no-match", "source rule does not match the erased redex"))
-            continue
-        expected = term_of(epre, override={e: contract})
-        if expected != term_of(epost):
-            violations.append(Violation(
-                i, "wrong-result",
-                "erased post-state is not the source-step result"))
+                sub = _forced(replay, step.redex, rule.dispatch_path)
+                if sub is None:
+                    faults.append(("dispatch-target",
+                                   "dispatch rule does not fit the redex"))
+                elif not (isinstance(sub.label, Symbol) and sub.label.is_op):
+                    faults.append(("dispatch-target", f"dispatch forced a "
+                                   f"non-operation node {sub.nid}"))
+            target = image.get(redex.nid)
+            replay.apply(step)
+            if target is None or not _same_graph(
+                    replay, step.contractum, target, image):
+                faults.append(("state-changed", f"{rule.origin} step "
+                               f"altered the erased state"))
+        else:
+            # rewrite / shortcut: one source step at the erased redex image
+            proper += 1
+            root = resolve(root)
+            first = _first_op(root, clean)
+            found = None if first is None \
+                else needed_descent(system, trees, first)
+            src = None if rule.builtin_op is not None else rule.source
+            target = None
+            if found is None:
+                faults.append(("no-redex",
+                               "proper step in an operation-free state"))
+            elif isinstance(found, Exempt) \
+                    or image.get(redex.nid) is not found.node:
+                other = "an irreducible" if isinstance(found, Exempt) \
+                    else "another"
+                faults.append(("not-needed", f"step fired at node "
+                               f"{redex.nid}, strategy demands {other} "
+                               f"{found.node.label.name} call"))
+            elif src is not found.rule:
+                faults.append(("wrong-rule", f"step used rule {src}, "
+                               f"strategy demands {found.rule}"))
+            else:
+                target = found.node
+                target.forward = _contract(found)
+            replay.apply(step)
+            if target is not None and not _same_graph(
+                    replay, step.contractum, target.forward, image):
+                faults.append(("wrong-result", "erased post-state is not "
+                               "the source-step result"))
+        if faults:
+            violations.extend(Violation(i, kind, detail)
+                              for kind, detail in faults)
+            image = None
     if result.outcome == "value":
-        for nid, (label, _) in snaps[-1].nodes.items():
+        seen = set()
+        stack = [result.start]
+        while stack:
+            node = replay.resolve(stack.pop())
+            if node.nid in seen:
+                continue
+            seen.add(node.nid)
+            label = node.label
             if isinstance(label, Symbol) and not label.is_data:
                 violations.append(Violation(
                     len(result.trace), "wrapper-in-value",
-                    f"final state contains {label.name} at node {nid}"))
+                    f"final state contains {label.name} at node {node.nid}"))
                 break
+            stack.extend(node.children)
     return ValidationReport(violations, proper)
+
+
+def _forced(replay, redex, path):
+    """The node at `path` below `redex`, or None if there is none."""
+    node = replay.resolve(redex)
+    for j in path:
+        if j >= len(node.children):
+            return None
+        node = replay.resolve(node.children[j])
+    return node

@@ -7,22 +7,29 @@ from .core import (
     PApp,
     PLit,
     PVar,
-    RApp,
     RLit,
     RShare,
     RVar,
-    Symbol,
-    erase,
     pattern_at,
     resolve,
 )
 from .deftree import DTBranch, DTExempt, DTIntBranch, DTRule
+from .runtime import Replay
 
 # ---- terms -------------------------------------------------------------------
 
 
-def format_node(node):
-    """Prefix rendering of a live graph (shared nodes print repeatedly)."""
+def _live(node):
+    node = resolve(node)
+    return node.label, node.children
+
+
+def format_node(node, view=_live):
+    """Prefix rendering of a graph (shared nodes print repeatedly).
+
+    `view(node)` gives the (label, children) a node shows: by default those
+    of the live graph, or those of a traced run's state through a `Replay`.
+    """
     parts = []
     stack = [node]
     while stack:
@@ -30,32 +37,7 @@ def format_node(node):
         if isinstance(item, str):
             parts.append(item)
             continue
-        n = resolve(item)
-        label = n.label
-        if isinstance(label, int):
-            parts.append(str(label))
-            continue
-        if not n.children:
-            parts.append(label.name)
-            continue
-        parts.append(label.name + "(")
-        stack.append(")")
-        for i in range(len(n.children) - 1, -1, -1):
-            stack.append(n.children[i])
-            if i > 0:
-                stack.append(", ")
-    return "".join(parts)
-
-
-def format_snapshot(snap, nid=None):
-    parts = []
-    stack = [snap.root if nid is None else nid]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        label, kids = snap.nodes[item]
+        label, kids = view(item)
         if isinstance(label, int):
             parts.append(str(label))
             continue
@@ -69,15 +51,6 @@ def format_snapshot(snap, nid=None):
             if i > 0:
                 stack.append(", ")
     return "".join(parts)
-
-
-def format_term(term):
-    label, kids = term
-    if isinstance(label, int):
-        return str(label)
-    if not kids:
-        return label.name
-    return f"{label.name}({', '.join(format_term(k) for k in kids)})"
 
 
 # ---- patterns, templates, rules ------------------------------------------------
@@ -214,11 +187,12 @@ def trace_states(result):
     shown.
     """
     assert result.trace is not None
-    snaps = [step.pre for step in result.trace] + [result.final]
-    states = [format_snapshot(snaps[0])]
-    for i, step in enumerate(result.trace):
+    replay = Replay()
+    states = [format_node(result.start, replay.view)]
+    for step in result.trace:
+        replay.apply(step)
         if not step.rule.is_literal_norm:
-            states.append(format_snapshot(snaps[i + 1]))
+            states.append(format_node(result.start, replay.view))
     return states
 
 
@@ -230,12 +204,12 @@ def erased_states(result):
     source-level derivation the run performs.
     """
     assert result.trace is not None
-    snaps = [step.pre for step in result.trace] + [result.final]
-    out = []
-    for snap in snaps:
-        erased, _ = erase(snap)
-        text = format_snapshot(erased)
-        if not out or out[-1] != text:
+    replay = Replay()
+    out = [format_node(result.start, replay.erased_view)]
+    for step in result.trace:
+        replay.apply(step)
+        text = format_node(result.start, replay.erased_view)
+        if out[-1] != text:
             out.append(text)
     return out
 

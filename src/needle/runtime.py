@@ -37,6 +37,7 @@ from .core import (
     EvaluationError,
     H,
     N,
+    NeedleError,
     Node,
     PAnyLit,
     PApp,
@@ -45,10 +46,8 @@ from .core import (
     RLit,
     RShare,
     RVar,
-    Snapshot,
     Symbol,
-    capture,
-    check_int,
+    int_op,
     resolve,
 )
 
@@ -61,11 +60,24 @@ _EVALUABLE_KINDS = (CONTROL, SPECIALIZED)
 _APP, _VAR, _LIT, _ANYLIT = 0, 1, 2, 3
 
 
-def default_max_steps():
-    value = os.environ.get("NEEDLE_MAX_STEPS")
-    if value:
-        return int(value)
-    return DEFAULT_MAX_STEPS
+def step_budget(max_steps=None):
+    """The step budget: `max_steps`, else $NEEDLE_MAX_STEPS, else the default.
+
+    Raises NeedleError unless the budget is a non-negative integer.
+    """
+    if max_steps is None:
+        text = os.environ.get("NEEDLE_MAX_STEPS")
+        if not text:
+            return DEFAULT_MAX_STEPS
+        try:
+            max_steps = int(text)
+        except ValueError:
+            raise NeedleError(f"NEEDLE_MAX_STEPS must be an integer, "
+                              f"not {text!r}") from None
+    if max_steps < 0:
+        raise NeedleError(f"the step budget must not be negative "
+                          f"(got {max_steps})")
+    return max_steps
 
 
 @dataclass
@@ -91,21 +103,14 @@ class Counters:
 
 
 @dataclass
-class TraceStep:
-    rule: object
-    redex_nid: int
-    pre: Snapshot
-
-
-@dataclass
 class EvalResult:
     outcome: str  # "value", "aborted", "steplimit"
     root: Node
     counters: Counters
     steps: int
     program: object
-    trace: Optional[list] = None
-    final: Optional[Snapshot] = None
+    trace: Optional[list] = None  # TraceSteps, when traced
+    start: Optional[Node] = None  # the root before the first step, when traced
     abort_rule: Optional[object] = None
 
     @property
@@ -115,6 +120,72 @@ class EvalResult:
 
 class NoRuleError(EvaluationError):
     """No object rule matched an evaluable node: a compiler invariant broke."""
+
+
+# ---- traces -------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class TraceStep:
+    """One contraction: `rule` replaced `redex` by `contractum`."""
+
+    rule: object
+    redex: Node
+    contractum: Node
+
+
+class Replay:
+    """The graph of a traced run as of any step, rebuilt from its log.
+
+    A traced run keeps its start root and every (redex, contractum) pair.
+    Feed the steps in order to `apply`; `resolve` then follows the
+    replacements made so far.  The nodes' own `forward` pointers cannot
+    serve, because `core.resolve` compresses them to the final result.
+    """
+
+    def __init__(self):
+        self.forward = {}  # redex nid -> contractum
+
+    def apply(self, step):
+        self.forward[step.redex.nid] = step.contractum
+
+    def resolve(self, node):
+        """Follow the replacements applied so far, compressing the path.
+
+        Entries are only ever added, so a compressed path still leads to
+        the node of every later step.
+        """
+        forward = self.forward
+        target = node
+        while target.nid in forward:
+            target = forward[target.nid]
+        while node is not target:
+            nxt = forward[node.nid]
+            forward[node.nid] = target
+            node = nxt
+        return target
+
+    def erased(self, node):
+        """The node `node` stands for once evaluation wrappers are spliced out."""
+        node = self.resolve(node)
+        while node.label.__class__ is Symbol and node.label.kind == CONTROL:
+            node = self.resolve(node.children[0])
+        return node
+
+    def view(self, node):
+        node = self.resolve(node)
+        return node.label, node.children
+
+    def erased_view(self, node):
+        node = self.erased(node)
+        return source_label(node.label), node.children
+
+
+def source_label(label):
+    """The source label behind a machine label (`f^H` stands for `f`)."""
+    if label.__class__ is Symbol and label.kind == SPECIALIZED:
+        return label.base
+    return label
 
 
 # ---- rule compilation ---------------------------------------------------------
@@ -194,8 +265,7 @@ def _compile_template(template):
 class Evaluator:
     def __init__(self, program, max_steps=None, trace=False):
         self.program = program
-        self.max_steps = max_steps if max_steps is not None \
-            else default_max_steps()
+        self.max_steps = step_budget(max_steps)
         self.tracing = trace
         self.counters = Counters()
         self.steps = 0
@@ -297,9 +367,8 @@ class Evaluator:
         if rule.builtin_op is not None:
             a = bindings[rule.builtin_operands[0]].label
             b = bindings[rule.builtin_operands[1]].label
-            value = a + b if rule.builtin_op == "add" else a - b
             self.counters.nodes_created += 1
-            return Node(check_int(value))
+            return Node(int_op(rule.builtin_op, a, b))
         return rule.rhs_fn(self, redex, bindings)
 
     # ---- main loop -----------------------------------------------------
@@ -351,8 +420,6 @@ class Evaluator:
                 self.steps = steps
                 return self._result("steplimit")
             steps += 1
-            if tracing:
-                self.trace.append(TraceStep(rule, nid, capture(self.root)))
             if cls == "rewrite":
                 counters.rewrite_steps += 1
             elif cls == "shortcut":
@@ -370,14 +437,16 @@ class Evaluator:
                         "innermost discipline violated"
             replacement = self.contract(rule, node, bindings)
             node.forward = replacement
+            if tracing:
+                self.trace.append(TraceStep(rule, node, replacement))
             push((replacement, 0))
         self.steps = steps
         return self._result("value")
 
     def _result(self, outcome, abort_rule=None):
-        final = capture(self.root) if self.tracing else None
+        start = self.root if self.tracing else None
         return EvalResult(outcome, resolve(self.root), self.counters,
-                          self.steps, self.program, self.trace, final,
+                          self.steps, self.program, self.trace, start,
                           abort_rule)
 
 

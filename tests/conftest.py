@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from needle import build_program, evaluate, oracle_eval, parse_system
-from needle.core import Node, capture, snapshots_equal
+from needle.core import Node
+from needle.render import format_node
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -171,5 +172,5 @@ def assert_modes_agree(system, get_program, name, term, src_budget, mach_budget)
             assert res.outcome == base.outcome, (
                 f"{name}/{mode}: outcome {res.outcome} != {base.outcome}")
             if base.outcome == "value":
-                assert snapshots_equal(capture(res.root), capture(base.root)), (
+                assert format_node(res.root) == format_node(base.root), (
                     f"{name}/{mode}: value differs from source strategy")

@@ -17,7 +17,7 @@ import pytest
 
 from needle import build_program, evaluate, oracle_eval, parse_expr, validate_trace
 from needle.codegen import phase1
-from needle.core import Node, capture, snapshots_equal
+from needle.core import Node
 from needle.render import (
     erased_states,
     format_node,
@@ -348,8 +348,8 @@ def test_full_scale_conservation_and_agreement(systems, programs):
         totals.add(sum(split(res)))
     assert len(totals) == 1
 
-    # validation at a reduced scale: snapshots cost O(graph) per step, so
-    # full-scale traces are out of reach by construction
+    # validation of a traced or run (the full-scale traces of all three
+    # modes are validated in the test below)
     expr, _ = parse_expr(systems["fib"], "fib(16)")
     res = evaluate(programs("fib", "or"), expr, trace=True)
     report = validate_trace(systems["fib"], res)
@@ -358,3 +358,21 @@ def test_full_scale_conservation_and_agreement(systems, programs):
     assert report.proper_steps == oracle_eval(systems["fib"], base_expr).steps
 
     assert time.monotonic() - t0 < time_budget(300)
+
+
+@pytest.mark.slow
+def test_full_scale_traces_validate(systems, programs):
+    # a trace is a rewrite log and validation replays it, so both grow with
+    # the steps taken, not with graph size times steps
+    t0 = time.monotonic()
+    base_expr, _ = parse_expr(systems["fib"], "fib(24)")
+    want = oracle_eval(systems["fib"], base_expr).steps
+    for mode in MODES:
+        expr, _ = parse_expr(systems["fib"], "fib(24)")
+        res = evaluate(programs("fib", mode), expr, trace=True)
+        assert res.root.label == 46368
+        report = validate_trace(systems["fib"], res)
+        assert report.ok, (mode, report.violations[:3])
+        assert report.proper_steps == want, mode
+        del res, report  # free this trace before tracing the next mode
+    assert time.monotonic() - t0 < time_budget(120)

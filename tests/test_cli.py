@@ -82,6 +82,18 @@ def test_eval_exit_codes(capsys):
     assert "argument" in capsys.readouterr().err
 
 
+def test_bad_step_budgets_exit_1(monkeypatch, capsys):
+    args = ["eval", LOOP, "fst(MkPair(loop, 0))"]
+    for mode in ("cr", "source"):
+        assert main(args + ["--mode", mode, "--max-steps", "-5"]) == 1
+        assert "must not be negative" in capsys.readouterr().err
+    monkeypatch.setenv("NEEDLE_MAX_STEPS", "abc")
+    for mode in ("cr", "source"):
+        assert main(args + ["--mode", mode]) == 1
+        assert "NEEDLE_MAX_STEPS must be an integer, not 'abc'" \
+            in capsys.readouterr().err
+
+
 def test_bench_prints_the_counter_table(capsys):
     assert main(["bench", FIB, "fib(5)"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 
 from needle import build_program
 from needle.codegen import phase1
-from needle.core import CONTROL, SPECIALIZED, H, N, PAnyLit
+from needle.core import CONTROL, SPECIALIZED, H, PAnyLit
 from needle.render import format_rule
 
 
@@ -106,8 +106,6 @@ def test_specialized_symbols_remember_their_base(programs, systems):
     assert special.name == "append^H"
     assert special.base is append
     assert special.kind == SPECIALIZED
-    assert program.evaluable == {N} | set(program.specialized.values())
-    assert programs("append", "cr").evaluable == {H, N}
 
 
 def test_needed_argument_wrapping_distinguishes_or_from_tr(programs):

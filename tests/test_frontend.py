@@ -170,6 +170,21 @@ def test_literal_patterns_parse():
     assert rules[1].rhs == RLit(0)
 
 
+def test_literals_must_fit_in_64_bits():
+    text = "op f(Int) -> Int: f({}) = {};"
+    system = parse_system(text.format(-2**63, 2**63 - 1))
+    assert system.rules[system.symbols["f"]][0].rhs == RLit(2**63 - 1)
+    with pytest.raises(SourceError, match=r"line 1:26: integer literal "
+                                          r"9223372036854775808 is outside"):
+        parse_system(text.format(0, 2**63))
+    with pytest.raises(SourceError, match=r"line 1:21: integer literal "
+                                          r"-9223372036854775809 is outside"):
+        parse_system(text.format(-2**63 - 1, 0))
+    with pytest.raises(SourceError, match=r"line 1:10: integer literal "
+                                          r"99999999999999999999 is outside"):
+        parse_expr(system, "f(add(1, 99999999999999999999))")
+
+
 # ---- ground expressions ------------------------------------------------------
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from needle import evaluate, oracle_eval, parse_expr, validate_trace
+from needle import Node, evaluate, oracle_eval, parse_expr, validate_trace
 from needle.render import format_node
+
+from conftest import int_list
 
 APPEND_EXPR = "append(Cons(1, Nil), Cons(2, Nil))"
 
@@ -81,6 +83,16 @@ def test_validation_accepts_truncated_traces(systems, programs):
     assert report.ok
 
 
+def test_validation_of_a_short_run_over_a_deep_list(systems, programs):
+    # comparing whole states as nested tuples once crashed the interpreter
+    system = systems["append"]
+    expr = Node(system.symbols["append"],
+                [int_list(system, [1]), int_list(system, [2] * 100000)])
+    res = evaluate(programs("append", "cr"), expr, max_steps=4, trace=True)
+    assert res.outcome == "steplimit"
+    assert validate_trace(system, res).ok
+
+
 def test_validation_catches_a_dropped_step(systems, programs):
     expr, _ = parse_expr(systems["append"], APPEND_EXPR)
     res = evaluate(programs("append", "cr"), expr, trace=True)
@@ -104,3 +116,22 @@ def test_validation_catches_a_swapped_rule(systems, programs):
     first = report.violations[0]
     assert first.step == a
     assert first.detail
+
+
+def test_validation_reports_rather_than_raises_on_moved_rules(systems,
+                                                              programs):
+    # moving a dispatch rule onto a redex it does not fit once raised
+    # IndexError; a proper rule must not pass for a bookkeeping one
+    text = "length(append(Cons(4, Nil), Cons(5, Cons(6, Nil))))"
+    for mode in ("cr", "tr", "or"):
+        expr, _ = parse_expr(systems["length"], text)
+        rules = [s.rule for s in
+                 evaluate(programs("length", mode), expr, trace=True).trace]
+        proper = [r.step_class in ("rewrite", "shortcut") for r in rules]
+        for a, b in [(a, b) for a in range(len(rules))
+                     for b in range(len(rules)) if proper[a] != proper[b]]:
+            expr, _ = parse_expr(systems["length"], text)
+            res = evaluate(programs("length", mode), expr, trace=True)
+            res.trace[a].rule = rules[b]
+            report = validate_trace(systems["length"], res)
+            assert not report.ok, (mode, a, b)

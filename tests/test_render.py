@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from needle import evaluate, parse_expr
-from needle.core import capture
 from needle.deftree import build_all_deftrees
 from needle.render import (
     erased_states,
     format_counter_table,
     format_node,
-    format_snapshot,
     format_trace,
     format_trees,
     trace_states,
@@ -27,7 +25,6 @@ def test_node_rendering_round_trips_canonical_text(systems):
     ]:
         expr, _ = parse_expr(systems[name], text)
         assert format_node(expr) == text
-        assert format_snapshot(capture(expr)) == text
 
 
 def test_shared_nodes_print_as_their_unfolding(systems):

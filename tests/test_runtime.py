@@ -7,7 +7,7 @@ import pytest
 from needle import EvaluationError, build_program, evaluate, parse_expr
 from needle.core import resolve
 from needle.render import format_node
-from needle.runtime import DEFAULT_MAX_STEPS, NoRuleError, default_max_steps
+from needle.runtime import DEFAULT_MAX_STEPS, NoRuleError, Replay, step_budget
 
 APPEND_EXPR = "append(Cons(1, Nil), Cons(2, Nil))"
 
@@ -62,11 +62,11 @@ def test_zero_budget_takes_no_step(systems, programs):
 def test_default_budget_comes_from_the_environment(systems, programs,
                                                    monkeypatch):
     monkeypatch.setenv("NEEDLE_MAX_STEPS", "5")
-    assert default_max_steps() == 5
+    assert step_budget() == 5
     res = run(systems, programs, "fib", "cr", "fib(10)")
     assert res.outcome == "steplimit" and res.steps == 5
     monkeypatch.delenv("NEEDLE_MAX_STEPS")
-    assert default_max_steps() == DEFAULT_MAX_STEPS
+    assert step_budget() == DEFAULT_MAX_STEPS
 
 
 # ---- counters ----------------------------------------------------------------
@@ -123,19 +123,22 @@ def test_result_shares_input_subgraphs(systems, programs):
     assert resolve(tail.children[0]) is lit2
 
 
-def test_trace_records_one_snapshot_per_step(systems, programs):
+def test_trace_logs_one_contraction_per_step(systems, programs):
     res = run(systems, programs, "append", "cr", APPEND_EXPR, trace=True)
     assert len(res.trace) == res.steps == 9
-    assert res.final is not None
+    assert res.start.label.name == "N" and len(res.start.children) == 1
     first = res.trace[0]
-    assert first.redex_nid in first.pre.nodes
-    label, kids = first.pre.nodes[first.pre.root]
-    assert label.name == "N" and len(kids) == 1
+    assert first.redex is res.start
+    # an empty replay shows the contractum as the step built it
+    assert format_node(first.contractum, Replay().view) \
+        == f"N(H({APPEND_EXPR}))"
+    # each contractum is what its redex forwards to
+    assert all(resolve(s.redex) is resolve(s.contractum) for s in res.trace)
 
 
 def test_no_trace_by_default(systems, programs):
     res = run(systems, programs, "append", "cr", APPEND_EXPR)
-    assert res.trace is None and res.final is None
+    assert res.trace is None and res.start is None
 
 
 # ---- failure modes -----------------------------------------------------------
