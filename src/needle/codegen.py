@@ -43,6 +43,7 @@ from .core import (
     Symbol,
     pattern_at,
     pattern_subst,
+    pattern_vars,
     var_path,
 )
 from .deftree import (
@@ -135,18 +136,6 @@ def _fresh_names(count, taken):
     return names
 
 
-def _pattern_var_names(p):
-    names = set()
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, (PVar, PAnyLit)):
-            names.add(q.name)
-        elif isinstance(q, PApp):
-            stack.extend(q.args)
-    return names
-
-
 def _template_of_pattern(p):
     if isinstance(p, PVar):
         return RVar(p.name)
@@ -184,16 +173,8 @@ def _walk_tree(system, op, tree, pattern, out, demanded, wrap):
         out.extend(_rule_leaf(system, tree, wrap, demanded))
         return
     if isinstance(tree, DTBranch):
-        taken = _pattern_var_names(pattern)
+        taken = {v.name for v in pattern_vars(pattern)}
         for ctor, sub in tree.children:
-            if isinstance(sub, DTExempt):
-                fresh = _fresh_names(ctor.arity, set(taken))
-                refined = pattern_subst(
-                    pattern, tree.path,
-                    PApp(ctor, tuple(PVar(n, s) for n, s in
-                                     zip(fresh, ctor.arg_sorts))))
-                out.append(ObjectRule(PApp(H, (refined,)), None, "exempt", "h"))
-                continue
             fresh = _fresh_names(ctor.arity, set(taken))
             refined = pattern_subst(
                 pattern, tree.path,
@@ -209,7 +190,8 @@ def _walk_tree(system, op, tree, pattern, out, demanded, wrap):
         if tree.default is not None:
             _walk_tree(system, op, tree.default, pattern, out, demanded, wrap)
         else:
-            guard_name = _fresh_names(1, _pattern_var_names(pattern))[0]
+            taken = {v.name for v in pattern_vars(pattern)}
+            guard_name = _fresh_names(1, taken)[0]
             guarded = pattern_subst(pattern, tree.path, PAnyLit(guard_name))
             out.append(ObjectRule(PApp(H, (guarded,)), None, "exempt", "h"))
         out.append(_dispatch_rule(pattern, tree.path))
@@ -222,21 +204,9 @@ def _dispatch_rule(pattern, path):
     branch_var = pattern_at(pattern, path)
     template = _template_of_pattern(pattern)
     wrapped = _tsubst(template, path, _h(RVar(branch_var.name)))
-    var_sorts = {v.name: v.sort for v in _pattern_var_list(pattern)}
+    var_sorts = {v.name: v.sort for v in pattern_vars(pattern)}
     return ObjectRule(PApp(H, (pattern,)), _h(wrapped), "dispatch", "h",
                       var_sorts=var_sorts, dispatch_path=(0,) + tuple(path))
-
-
-def _pattern_var_list(p):
-    out = []
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, PVar):
-            out.append(q)
-        elif isinstance(q, PApp):
-            stack.extend(q.args)
-    return out
 
 
 def _tsubst(template, path, repl):
@@ -286,7 +256,7 @@ def _collapse_rules(system, rule, leaf, lhs_inner, var_name):
                               "h", source=rule,
                               var_sorts=dict(rule.var_sorts)))
     else:
-        taken = _pattern_var_names(lhs_inner)
+        taken = {v.name for v in pattern_vars(lhs_inner)}
         for ctor in system.sorts[sort]:
             fresh = _fresh_names(ctor.arity, set(taken))
             inst = pattern_subst(
@@ -417,7 +387,7 @@ def phase1(system, rules):
         sort = rule.var_sorts[name]
         shared_rhs = _replace_h_var(rule.rhs, name, RShare(xpath))
         for g in system.ops_returning(sort):
-            taken = _pattern_var_names(rule.lhs)
+            taken = {v.name for v in pattern_vars(rule.lhs)}
             fresh = _fresh_names(g.arity, taken)
             inst_lhs = pattern_subst(
                 rule.lhs, xpath,
@@ -506,25 +476,13 @@ def _finalize(rule):
         rule.step_class = "shortcut"
     if rule.builtin_op:
         rule.builtin_operands = tuple(
-            p.name for p in _anylits_in(rule.lhs))
+            v.name for v in pattern_vars(rule.lhs) if isinstance(v, PAnyLit))
         rule.countable_allocs = 1
     elif rule.exempt or rule.step_class in ("dispatch", "norm"):
         rule.countable_allocs = 0
     else:
         rule.countable_allocs = _count_allocs(rule.rhs)
     return rule
-
-
-def _anylits_in(p):
-    out = []
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, PAnyLit):
-            out.append(q)
-        elif isinstance(q, PApp):
-            stack.extend(reversed(q.args))
-    return out
 
 
 def _count_allocs(template):

@@ -145,14 +145,15 @@ class PApp:
 Pattern = Union[PVar, PLit, PAnyLit, PApp]
 
 
-def pattern_vars(p) -> Iterator[PVar]:
+def pattern_vars(p) -> Iterator[Union[PVar, PAnyLit]]:
+    """The variable leaves (PVar and PAnyLit) of a pattern, left to right."""
     stack = [p]
     while stack:
         q = stack.pop()
-        if isinstance(q, PVar):
+        if isinstance(q, PApp):
+            stack.extend(q.args[::-1])
+        elif not isinstance(q, PLit):
             yield q
-        elif isinstance(q, PApp):
-            stack.extend(q.args)
 
 
 def pattern_at(p, path):
@@ -190,25 +191,18 @@ def patterns_variant(p, q):
     stack = [(p, q)]
     while stack:
         a, b = stack.pop()
-        if isinstance(a, PVar) and isinstance(b, PVar):
-            if fwd.setdefault(a.name, b.name) != b.name:
-                return False
-            if bwd.setdefault(b.name, a.name) != a.name:
-                return False
-        elif isinstance(a, PAnyLit) and isinstance(b, PAnyLit):
-            if fwd.setdefault(a.name, b.name) != b.name:
-                return False
-            if bwd.setdefault(b.name, a.name) != a.name:
-                return False
-        elif isinstance(a, PLit) and isinstance(b, PLit):
-            if a.value != b.value:
-                return False
-        elif isinstance(a, PApp) and isinstance(b, PApp):
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, PApp):
             if a.label is not b.label or len(a.args) != len(b.args):
                 return False
             stack.extend(zip(a.args, b.args))
-        else:
-            return False
+        elif isinstance(a, PLit):
+            if a.value != b.value:
+                return False
+        elif (fwd.setdefault(a.name, b.name) != b.name
+              or bwd.setdefault(b.name, a.name) != a.name):
+            return False  # a PVar or PAnyLit renamed inconsistently
     return True
 
 
@@ -245,16 +239,6 @@ class RShare:
 
 
 Template = Union[RVar, RLit, RApp, RShare]
-
-
-def template_vars(t) -> Iterator[str]:
-    stack = [t]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, RVar):
-            yield q.name
-        elif isinstance(q, RApp):
-            stack.extend(q.children)
 
 
 # ---- source rules -----------------------------------------------------------

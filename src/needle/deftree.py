@@ -6,11 +6,15 @@ position.  Construction picks the leftmost-outermost position at which every
 remaining rule demands a pattern; systems for which no such position exists
 are rejected.  Branching on integers supports a `default` child for rules
 with a variable at the branch position.
+
+`demanded_args` reads off the argument positions every path inspects; the
+compiler uses them, and the source strategy in `oracle.py` walks the trees
+themselves to find needed redexes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -22,8 +26,8 @@ from .core import (
     PVar,
     pattern_at,
     pattern_subst,
+    pattern_vars,
     patterns_variant,
-    resolve,
 )
 
 
@@ -100,24 +104,12 @@ def _var_positions(pattern):
 def build_deftree(system, op):
     """Build the definitional tree for `op`, or raise a DefTreeError."""
     rules = system.rules.get(op, [])
-    taken = {v.name for r in rules for v in _pattern_var_list(r.lhs)}
+    taken = {v.name for r in rules for v in pattern_vars(r.lhs)}
     root_vars = _fresh_vars("x", op.arity, op.arg_sorts, set(taken))
     pattern = PApp(op, tuple(root_vars))
     if not rules:
         return DTExempt()
     return _build(system, op, pattern, list(rules), guards=())
-
-
-def _pattern_var_list(p):
-    out = []
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, PVar):
-            out.append(q)
-        elif isinstance(q, PApp):
-            stack.extend(q.args)
-    return out
 
 
 def _build(system, op, pattern, rules, guards):
@@ -163,14 +155,14 @@ def _build(system, op, pattern, rules, guards):
 
 
 def _ctor_branch(system, op, pattern, rules, path, guards):
-    sort = _sort_at(pattern, path)
+    sort = pattern_at(pattern, path).sort
     if sort == INT_SORT:
         raise NotInductivelySequential(
             f"operation {op.name!r}: constructor pattern at an Int position")
     children = []
-    taken = {v.name for v in _pattern_var_list(pattern)}
+    taken = {v.name for v in pattern_vars(pattern)}
     for r in rules:
-        taken.update(v.name for v in _pattern_var_list(r.lhs))
+        taken.update(v.name for v in pattern_vars(r.lhs))
     for ctor in system.sorts[sort]:
         sub_rules = [r for r in rules
                      if isinstance(pattern_at(r.lhs, path), PApp)
@@ -207,16 +199,6 @@ def _int_branch(system, op, pattern, rules, path, guards, with_default):
     return DTIntBranch(path, children, default)
 
 
-def _sort_at(pattern, path):
-    p = pattern
-    for i in path[:-1]:
-        p = p.args[i]
-    root = p if isinstance(p, PApp) else None
-    if root is None:
-        raise AssertionError("branch path must point below an application")
-    return root.label.arg_sorts[path[-1]]
-
-
 def build_all_deftrees(system):
     return {op: build_deftree(system, op) for op in system.operations}
 
@@ -243,79 +225,3 @@ def demanded_args(op, tree):
         return {t.path[0]} | common
 
     return walk(tree)
-
-
-# ---- descent for the source-level strategy -----------------------------------
-
-
-@dataclass(frozen=True)
-class Redex:
-    node: object
-    rule: object  # SourceRule, or None for a builtin reduction
-
-
-@dataclass(frozen=True)
-class Exempt:
-    node: object
-
-
-def needed_descent(system, trees, node):
-    """Locate the needed redex at or below an operation-rooted graph node.
-
-    Returns Redex(...) or Exempt(...).  The node's label must be an operation
-    or builtin.  Descends through argument positions demanded by the trees.
-    """
-    node = resolve(node)
-    while True:
-        label = node.label
-        if label.kind == BUILTIN:
-            descended = False
-            for child in node.children:
-                c = resolve(child)
-                if isinstance(c.label, int):
-                    continue
-                if c.label.is_op:
-                    node = c
-                    descended = True
-                    break
-                raise AssertionError("builtin applied to a non-Int argument")
-            if descended:
-                continue
-            return Redex(node, None)
-        cur = trees[label]
-        descend_to = None
-        while True:
-            if isinstance(cur, DTRule):
-                return Redex(node, cur.rule)
-            if isinstance(cur, DTExempt):
-                return Exempt(node)
-            sub = node
-            for i in cur.path:
-                sub = resolve(sub.children[i])
-            sub_label = sub.label
-            if not isinstance(sub_label, int) and sub_label.is_op:
-                descend_to = sub
-                break
-            if isinstance(cur, DTBranch):
-                nxt = None
-                for ctor, subtree in cur.children:
-                    if ctor is sub_label:
-                        nxt = subtree
-                        break
-                if nxt is None:
-                    raise AssertionError("branch met an unknown constructor")
-                cur = nxt
-            else:  # DTIntBranch
-                if not isinstance(sub_label, int):
-                    raise AssertionError("integer branch met a constructor")
-                nxt = None
-                for value, subtree in cur.children:
-                    if value == sub_label:
-                        nxt = subtree
-                        break
-                if nxt is None:
-                    nxt = cur.default
-                if nxt is None:
-                    return Exempt(node)
-                cur = nxt
-        node = descend_to

@@ -268,27 +268,40 @@ class _Parser:
         self.system.rules[op].append(rule)
 
     def parse_term(self):
-        tok = self.next()
-        if tok.kind == "int":
-            value = int(tok.text)
-            if not INT_MIN <= value <= INT_MAX:
-                self.fail(f"integer literal {tok.text} is outside the "
-                          f"64-bit range", tok)
-            return ("lit", value, tok)
-        if tok.kind != "name":
-            self.fail("expected a term", tok)
-        if tok.text == "_":
-            return ("wild", None, tok)
-        args = []
-        if self.peek().kind == "punct" and self.peek().text == "(":
-            self.next()
-            if not (self.peek().kind == "punct" and self.peek().text == ")"):
-                args.append(self.parse_term())
-                while self.peek().text == ",":
+        """A raw term: ("lit", value, tok), ("wild", None, tok) or
+        ("app", (name, [raw args]), tok).  Iterative, so any depth parses."""
+        open_apps = []  # (tok, args so far) of applications still open
+        while True:
+            tok = self.next()
+            if tok.kind == "int":
+                value = int(tok.text)
+                if not INT_MIN <= value <= INT_MAX:
+                    self.fail(f"integer literal {tok.text} is outside the "
+                              f"64-bit range", tok)
+                term = ("lit", value, tok)
+            elif tok.kind != "name":
+                self.fail("expected a term", tok)
+            elif tok.text == "_":
+                term = ("wild", None, tok)
+            else:
+                if self.peek().kind == "punct" and self.peek().text == "(":
                     self.next()
-                    args.append(self.parse_term())
-            self.expect("punct", ")")
-        return ("app", (tok.text, args), tok)
+                    if not (self.peek().kind == "punct"
+                            and self.peek().text == ")"):
+                        open_apps.append((tok, []))
+                        continue
+                    self.expect("punct", ")")
+                term = ("app", (tok.text, []), tok)
+            while open_apps:
+                open_apps[-1][1].append(term)
+                if self.peek().text == ",":
+                    self.next()
+                    break
+                self.expect("punct", ")")
+                tok, args = open_apps.pop()
+                term = ("app", (tok.text, args), tok)
+            else:
+                return term
 
     # checking -----------------------------------------------------------
 
@@ -384,7 +397,6 @@ def parse_system(text, name="system"):
 
 def parse_expr(system, text):
     """Parse a ground expression over `system`, returning (root Node, sort)."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
     parser = _Parser(scan(text), system)
     raw = parser.parse_term()
     tok = parser.peek()
@@ -394,25 +406,42 @@ def parse_expr(system, text):
 
 
 def _build_expr(system, raw):
-    kind, payload, tok = raw
-    if kind == "lit":
-        return Node(payload), INT_SORT
-    if kind == "wild":
-        raise SourceError("expressions must be ground ('_' not allowed)",
-                          tok.line, tok.col)
-    name, args = payload
-    sym = system.symbols.get(name)
-    if sym is None:
-        raise SourceError(f"unknown symbol {name!r} (expressions must be "
-                          f"ground)", tok.line, tok.col)
-    if len(args) != sym.arity:
-        raise SourceError(f"{name!r} takes {sym.arity} argument(s)",
-                          tok.line, tok.col)
-    kids = []
-    for a, want in zip(args, sym.arg_sorts):
-        node, got = _build_expr(system, a)
-        if got != want:
-            raise SourceError(f"argument of {name!r} has sort {got!r}, "
-                              f"expected {want!r}", a[2].line, a[2].col)
-        kids.append(node)
-    return Node(sym, kids), sym.result_sort
+    """The graph of a raw term and its sort, built bottom-up without
+    recursion; each argument's sort is checked as soon as it is built."""
+    open_apps = []  # (symbol, raw args, built children) of open applications
+    while True:
+        kind, payload, tok = raw
+        if kind == "lit":
+            node, sort = Node(payload), INT_SORT
+        else:
+            if kind == "wild":
+                raise SourceError("expressions must be ground ('_' not "
+                                  "allowed)", tok.line, tok.col)
+            name, args = payload
+            sym = system.symbols.get(name)
+            if sym is None:
+                raise SourceError(f"unknown symbol {name!r} (expressions "
+                                  f"must be ground)", tok.line, tok.col)
+            if len(args) != sym.arity:
+                raise SourceError(f"{name!r} takes {sym.arity} argument(s)",
+                                  tok.line, tok.col)
+            if args:
+                open_apps.append((sym, args, []))
+                raw = args[0]
+                continue
+            node, sort = Node(sym), sym.result_sort
+        while open_apps:
+            sym, args, kids = open_apps[-1]
+            want, a = sym.arg_sorts[len(kids)], args[len(kids)]
+            if sort != want:
+                raise SourceError(f"argument of {sym.name!r} has sort "
+                                  f"{sort!r}, expected {want!r}",
+                                  a[2].line, a[2].col)
+            kids.append(node)
+            if len(kids) < len(args):
+                raw = args[len(kids)]
+                break
+            open_apps.pop()
+            node, sort = Node(sym, kids), sym.result_sort
+        else:
+            return node, sort

@@ -1,24 +1,30 @@
 """Source-level reference strategy and trace validation.
 
+`source_strategy` is the source strategy, the one place that finds needed
+redexes: it locates the leftmost-outermost operation-rooted node and descends
+through the argument positions its definitional tree demands.  It keeps its
+walk from one step to the next, so a whole run costs time linear in its
+steps.
+
 `oracle_eval` normalizes a source expression directly, with no compiled
-rules: it repeatedly locates the leftmost-outermost operation-rooted node,
-descends through argument positions its definitional tree demands, and
-contracts the redex found there.  Rewrites forward graph nodes, so shared
-subterms are evaluated once, exactly like the compiled evaluators.
+rules, by contracting each redex the strategy yields.  Rewrites forward graph
+nodes, so shared subterms are evaluated once, exactly like the compiled
+evaluators.
 
 `validate_trace` replays a traced compiled run's rewrite log beside a live
 source graph.  Erasing the evaluation wrappers, each dispatch or norm step
 must leave the state unchanged, and each rewrite or shortcut step must be one
 source-rule step at the erased image of the machine redex, which must also be
-the redex the source strategy itself picks.
+the redex the source strategy yields next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Node, PLit, PVar, RLit, RVar, Symbol, int_op, resolve
-from .deftree import Exempt, build_all_deftrees, needed_descent
+from .core import (BUILTIN, Node, PLit, PVar, RLit, RVar, Symbol, child_at,
+                   int_op, resolve)
+from .deftree import DTBranch, DTExempt, DTRule, build_all_deftrees
 from .runtime import Replay, source_label, step_budget
 
 
@@ -29,31 +35,96 @@ class OracleResult:
     steps: int
 
 
-def _first_op(root, clean):
-    """Leftmost-outermost operation-rooted node, or None if none remains.
+@dataclass(frozen=True)
+class Redex:
+    node: object
+    rule: object  # SourceRule, or None for a builtin reduction
 
-    `clean` persists across calls and accumulates nodes whose subgraphs are
-    known operation-free.
+
+@dataclass(frozen=True)
+class Exempt:
+    node: object
+
+
+def source_strategy(trees, root):
+    """Yield the needed redexes of the graph at `root`, one per step.
+
+    Each item is Redex(node, rule) or Exempt(node); the generator ends when
+    no operation is left.  The caller must contract each yielded redex before
+    asking for the next one, and stops after an Exempt.
+
+    The walk visits the graph leftmost-outermost for its first operation,
+    then descends through the argument positions its definitional tree
+    demands.  Both keep their stacks across steps: a contraction leaves every
+    constructor still to be visited and every call waiting on a demanded
+    argument as it was.  So after one, the waiting call re-reads its argument,
+    or, if the redex was the visited node itself, that position is visited
+    again.
     """
-    stack = [(root, 0)]
-    while stack:
-        node, phase = stack.pop()
-        node = resolve(node)
-        if node.nid in clean:
-            continue
+    visit = [root]
+    seen = set()  # constructor nodes already visited: their graphs are done
+    while visit:
+        node = resolve(visit.pop())
         label = node.label
-        if isinstance(label, int):
-            clean.add(node.nid)
+        if isinstance(label, int) or node.nid in seen:
             continue
-        if phase == 0:
-            if label.is_op:
-                return node
-            stack.append((node, 1))
-            for i in range(len(node.children) - 1, -1, -1):
-                stack.append((node.children[i], 0))
-        else:
-            clean.add(node.nid)
-    return None
+        if not label.is_op:
+            seen.add(node.nid)
+            visit.extend(reversed(node.children))
+            continue
+        calls = [node]
+        while calls:
+            found = _demand(trees, calls[-1])
+            if isinstance(found, Node):
+                calls.append(found)
+                continue
+            yield found
+            calls.pop()
+        visit.append(node)
+
+
+def _demand(trees, node):
+    """Redex(...) or Exempt(...) at operation node `node`, or the
+    operation-rooted argument its definitional tree demands first."""
+    label = node.label
+    if label.kind == BUILTIN:
+        for child in node.children:
+            c = resolve(child)
+            if isinstance(c.label, int):
+                continue
+            if c.label.is_op:
+                return c
+            raise AssertionError("builtin applied to a non-Int argument")
+        return Redex(node, None)
+    cur = trees[label]
+    while True:
+        if isinstance(cur, DTRule):
+            return Redex(node, cur.rule)
+        if isinstance(cur, DTExempt):
+            return Exempt(node)
+        sub = child_at(node, cur.path)
+        sub_label = sub.label
+        if not isinstance(sub_label, int) and sub_label.is_op:
+            return sub
+        if isinstance(cur, DTBranch):
+            nxt = None
+            for ctor, subtree in cur.children:
+                if ctor is sub_label:
+                    nxt = subtree
+                    break
+            if nxt is None:
+                raise AssertionError("branch met an unknown constructor")
+        else:  # DTIntBranch
+            if not isinstance(sub_label, int):
+                raise AssertionError("integer branch met a constructor")
+            nxt = cur.default
+            for value, subtree in cur.children:
+                if value == sub_label:
+                    nxt = subtree
+                    break
+            if nxt is None:
+                return Exempt(node)
+        cur = nxt
 
 
 def _match_source(pattern, node, bindings):
@@ -100,20 +171,15 @@ def oracle_eval(system, root, max_steps=None, trees=None):
     if trees is None:
         trees = build_all_deftrees(system)
     max_steps = step_budget(max_steps)
-    clean = set()
     steps = 0
-    while True:
-        root = resolve(root)
-        opnode = _first_op(root, clean)
-        if opnode is None:
-            return OracleResult("value", root, steps)
-        found = needed_descent(system, trees, opnode)
+    for found in source_strategy(trees, root):
         if isinstance(found, Exempt):
-            return OracleResult("aborted", root, steps)
+            return OracleResult("aborted", resolve(root), steps)
         if steps >= max_steps:
-            return OracleResult("steplimit", root, steps)
+            return OracleResult("steplimit", resolve(root), steps)
         steps += 1
         found.node.forward = _contract(found)
+    return OracleResult("value", resolve(root), steps)
 
 
 # ---- trace validation ---------------------------------------------------------
@@ -198,7 +264,8 @@ def validate_trace(system, result, trees=None):
     unchanged, and the argument a dispatch rule forces is operation-rooted;
     rewrite and shortcut steps perform exactly one source-rule step, at the
     node the source strategy itself demands.  After a violation the source
-    graph is copied afresh, so each step is judged on its own.  For completed
+    graph is copied afresh and the strategy restarted on it, so each step is
+    judged on its own.  For completed
     runs the final state must be wrapper-free.  Returns a ValidationReport.
     """
     assert result.trace is not None, "run the evaluator with trace=True"
@@ -211,7 +278,7 @@ def validate_trace(system, result, trees=None):
     for i, step in enumerate(result.trace):
         if image is None:
             root, image = _source_copy(replay, result.start)
-            clean = set()
+            strategy = source_strategy(trees, root)
         rule = step.rule
         redex = replay.erased(step.redex)
         faults = []
@@ -233,10 +300,7 @@ def validate_trace(system, result, trees=None):
         else:
             # rewrite / shortcut: one source step at the erased redex image
             proper += 1
-            root = resolve(root)
-            first = _first_op(root, clean)
-            found = None if first is None \
-                else needed_descent(system, trees, first)
+            found = next(strategy, None)
             src = None if rule.builtin_op is not None else rule.source
             target = None
             if found is None:

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from .core import (
     PAnyLit,
-    PApp,
     PLit,
     PVar,
     RLit,
     RShare,
     RVar,
     pattern_at,
+    pattern_vars,
     resolve,
 )
 from .deftree import DTBranch, DTExempt, DTIntBranch, DTRule
@@ -68,20 +68,9 @@ def format_pattern(p):
     return f"{p.label.name}({', '.join(format_pattern(a) for a in p.args)})"
 
 
-def _anylit_names(p):
-    names = set()
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, PAnyLit):
-            names.add(q.name)
-        elif isinstance(q, PApp):
-            stack.extend(q.args)
-    return names
-
-
 def format_template(t, lhs):
-    literal_vars = _anylit_names(lhs)
+    literal_vars = {v.name for v in pattern_vars(lhs)
+                    if isinstance(v, PAnyLit)}
 
     def fmt(t):
         if isinstance(t, RVar):
@@ -189,9 +178,9 @@ def trace_states(result):
     assert result.trace is not None
     replay = Replay()
     states = [format_node(result.start, replay.view)]
-    for step in result.trace:
+    for i, step in enumerate(result.trace, 1):
         replay.apply(step)
-        if not step.rule.is_literal_norm:
+        if not step.rule.is_literal_norm or i == len(result.trace):
             states.append(format_node(result.start, replay.view))
     return states
 

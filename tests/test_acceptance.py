@@ -376,3 +376,28 @@ def test_full_scale_traces_validate(systems, programs):
         assert report.proper_steps == want, mode
         del res, report  # free this trace before tracing the next mode
     assert time.monotonic() - t0 < time_budget(120)
+
+
+@pytest.mark.slow
+def test_source_strategy_is_linear_in_steps(systems, programs):
+    # the strategy resumes its walk after each contraction instead of
+    # restarting at the root, where length's add(1, add(1, ...)) chain
+    # once made every step cost the depth of the chain
+    t0 = time.monotonic()
+    system = systems["length"]
+
+    def expr():
+        return Node(system.symbols["length"],
+                    [Node(system.symbols["append"],
+                          [int_list(system, [1] * 50000),
+                           int_list(system, [1] * 50000)])])
+
+    base = oracle_eval(system, expr())
+    assert (base.outcome, base.root.label) == ("value", 100000)
+    assert base.steps == 250002
+    res = evaluate(programs("length", "cr"), expr(), trace=True)
+    assert res.root.label == 100000
+    report = validate_trace(system, res)
+    assert report.ok, report.violations[:3]
+    assert report.proper_steps == 250002
+    assert time.monotonic() - t0 < time_budget(30)

@@ -1,4 +1,4 @@
-"""Definitional trees: construction, demanded arguments, needed descent."""
+"""Definitional trees: construction and demanded arguments."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from needle import (
     NotInductivelySequential,
     build_all_deftrees,
     build_deftree,
-    parse_expr,
     parse_system,
 )
 from needle.deftree import (
@@ -17,10 +16,7 @@ from needle.deftree import (
     DTExempt,
     DTIntBranch,
     DTRule,
-    Exempt,
-    Redex,
     demanded_args,
-    needed_descent,
 )
 
 
@@ -148,63 +144,3 @@ def test_demanded_args(systems):
 def test_builtins_demand_every_argument(systems):
     add = systems["fib"].symbols["add"]
     assert demanded_args(add, None) == {0, 1}
-
-
-# ---- needed descent ----------------------------------------------------------
-
-
-def trees_of(system):
-    return build_all_deftrees(system)
-
-
-def test_descent_stops_at_the_outermost_matching_redex(systems):
-    system = systems["loop"]
-    expr, _ = parse_expr(system, "snd(MkPair(loop, 0))")
-    found = needed_descent(system, trees_of(system), expr)
-    assert isinstance(found, Redex)
-    assert found.node is expr
-    assert found.rule.op.name == "snd"
-
-
-def test_descent_moves_into_a_demanded_operation_argument(systems):
-    system = systems["length"]
-    expr, _ = parse_expr(system, "length(append(Nil, Nil))")
-    found = needed_descent(system, trees_of(system), expr)
-    assert isinstance(found, Redex)
-    assert found.node is expr.children[0]
-    assert found.rule.op.name == "append"
-
-
-def test_descent_reports_exempt_positions(systems):
-    system = systems["head"]
-    expr, _ = parse_expr(system, "head(Nil)")
-    found = needed_descent(system, trees_of(system), expr)
-    assert isinstance(found, Exempt)
-    assert found.node is expr
-
-
-def test_descent_through_builtin_arguments(systems):
-    system = systems["fib"]
-    trees = trees_of(system)
-    expr, _ = parse_expr(system, "add(add(1, 2), 3)")
-    found = needed_descent(system, trees, expr)
-    assert isinstance(found, Redex)
-    assert found.node is expr.children[0]
-    assert found.rule is None  # builtin reduction
-    flat, _ = parse_expr(system, "add(1, 2)")
-    found = needed_descent(system, trees, flat)
-    assert found == Redex(flat, None)
-
-
-def test_descent_picks_literal_branch_or_default(systems):
-    system = systems["fib"]
-    trees = trees_of(system)
-    base, _ = parse_expr(system, "fib(1)")
-    found = needed_descent(system, trees, base)
-    assert found.rule.index == 1
-    other, _ = parse_expr(system, "fib(7)")
-    found = needed_descent(system, trees, other)
-    assert found.rule.index == 2
-    nested, _ = parse_expr(system, "fib(add(3, 4))")
-    found = needed_descent(system, trees, nested)
-    assert found == Redex(nested.children[0], None)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from needle import SourceError, parse_expr, parse_system
-from needle.core import PApp, PLit, PVar, RApp, RLit, RVar
+from needle import (SourceError, build_program, evaluate, oracle_eval,
+                    parse_expr, parse_system)
+from needle.core import Node, PApp, PLit, PVar, RApp, RLit, RVar
 from needle.frontend import scan
+from needle.render import format_node
 
 NAT = """
 data Nat = Z | S(Nat);
@@ -221,3 +223,18 @@ def test_error_positions_point_at_the_offence():
         assert err.col == 14
     else:
         pytest.fail("expected a SourceError")
+
+
+def test_deep_expressions_parse_evaluate_and_print(systems):
+    # parsing once recursed per nesting level and failed near 100,000
+    system = systems["length"]
+    depth = 200000
+    text = "length(" + "Cons(1, " * depth + "Nil" + ")" * (depth + 1)
+    expr, _ = parse_expr(system, text)
+    assert format_node(expr) == text
+    items = expr.children[0]
+    res = evaluate(build_program(system, "or"), expr)
+    assert (res.outcome, res.root.label) == ("value", depth)
+    # evaluation rewrites calls only, so the parsed list is still intact
+    res = oracle_eval(system, Node(system.symbols["length"], [items]))
+    assert (res.outcome, res.root.label) == ("value", depth)

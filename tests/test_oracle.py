@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from needle import Node, evaluate, oracle_eval, parse_expr, validate_trace
+from needle import (Node, build_all_deftrees, evaluate, oracle_eval,
+                    parse_expr, validate_trace)
+from needle.oracle import Exempt, Redex, source_strategy
 from needle.render import format_node
 
 from conftest import int_list
@@ -60,6 +62,53 @@ def test_oracle_matches_compiled_proper_steps(systems, programs):
             expr, _ = parse_expr(systems[name], text)
             res = evaluate(programs(name, mode), expr)
             assert res.proper_steps == base.steps, (name, mode)
+
+
+# ---- needed descent ----------------------------------------------------------
+
+
+def first_redex(system, text):
+    """The parsed expression and the first redex the strategy yields on it."""
+    expr, _ = parse_expr(system, text)
+    return expr, next(source_strategy(build_all_deftrees(system), expr))
+
+
+def test_descent_stops_at_the_outermost_matching_redex(systems):
+    expr, found = first_redex(systems["loop"], "snd(MkPair(loop, 0))")
+    assert isinstance(found, Redex)
+    assert found.node is expr
+    assert found.rule.op.name == "snd"
+
+
+def test_descent_moves_into_a_demanded_operation_argument(systems):
+    expr, found = first_redex(systems["length"], "length(append(Nil, Nil))")
+    assert isinstance(found, Redex)
+    assert found.node is expr.children[0]
+    assert found.rule.op.name == "append"
+
+
+def test_descent_reports_exempt_positions(systems):
+    expr, found = first_redex(systems["head"], "head(Nil)")
+    assert isinstance(found, Exempt)
+    assert found.node is expr
+
+
+def test_descent_through_builtin_arguments(systems):
+    expr, found = first_redex(systems["fib"], "add(add(1, 2), 3)")
+    assert isinstance(found, Redex)
+    assert found.node is expr.children[0]
+    assert found.rule is None  # builtin reduction
+    flat, found = first_redex(systems["fib"], "add(1, 2)")
+    assert found == Redex(flat, None)
+
+
+def test_descent_picks_literal_branch_or_default(systems):
+    _, found = first_redex(systems["fib"], "fib(1)")
+    assert found.rule.index == 1
+    _, found = first_redex(systems["fib"], "fib(7)")
+    assert found.rule.index == 2
+    nested, found = first_redex(systems["fib"], "fib(add(3, 4))")
+    assert found == Redex(nested.children[0], None)
 
 
 # ---- trace validation --------------------------------------------------------

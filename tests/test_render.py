@@ -71,17 +71,21 @@ def test_counter_table_layout(systems, programs):
 
 
 def test_trace_states_include_initial_and_final(systems, programs):
-    expr, _ = parse_expr(systems["append"], APPEND_EXPR)
-    res = evaluate(programs("append", "cr"), expr, trace=True)
-    states = trace_states(res)
-    assert states[0] == f"N({APPEND_EXPR})"
-    assert states[-1] == "Cons(1, Cons(2, Nil))"
-    # literal normalization steps do not change the printed term
-    assert len(states) < len(res.trace) + 1
+    for name, text, value, hidden in [
+        ("append", APPEND_EXPR, "Cons(1, Cons(2, Nil))", 2),
+        ("fib", "fib(1)", "1", 0),  # the run ends with a literal norm
+    ]:
+        expr, _ = parse_expr(systems[name], text)
+        res = evaluate(programs(name, "cr"), expr, trace=True)
+        states = trace_states(res)
+        assert states[0] == f"N({text})"
+        assert states[-1] == value
+        # literal normalization steps do not change the printed term
+        assert len(states) == len(res.trace) + 1 - hidden
 
-    numbered = format_trace(res).splitlines()
-    assert len(numbered) == len(states)
-    assert numbered[0].endswith(states[0])
+        numbered = format_trace(res).splitlines()
+        assert len(numbered) == len(states)
+        assert numbered[0].endswith(states[0])
 
 
 def test_erased_states_collapse_to_source_steps(systems, programs):
