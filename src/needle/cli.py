@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 usage, I/O, syntax, or evaluation errors; 2 system
-rejected (not compilable) or validation failure; 3 evaluation aborted
-(irreducible operation application); 4 step limit reached.
+Exit codes: 0 success; 1 usage, I/O, syntax, evaluation or out-of-memory
+errors; 2 system rejected (not compilable) or validation failure; 3
+evaluation aborted (irreducible operation application); 4 step limit reached.
 """
 
 from __future__ import annotations
@@ -211,6 +211,11 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        pass  # leaving the handler frees what the failed command held
+    hint = "; --max-steps bounds the run" if "max_steps" in args else ""
+    print(f"error: out of memory{hint}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

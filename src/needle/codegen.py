@@ -91,9 +91,6 @@ class ObjectRule:
     countable_allocs: int = 0
     is_literal_norm: bool = False
     builtin_operands: tuple = ()
-    # Filled lazily by the evaluator (cached compiled forms):
-    match_code: Optional[tuple] = None
-    rhs_fn: Optional[object] = None
 
     @property
     def head(self):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import (
     BUILTIN,
@@ -48,6 +49,11 @@ class SourceError(NeedleError):
         super().__init__(message)
         self.line = line
         self.col = col
+
+
+# The deepest nesting of argument lists in a rule side: definitional trees and
+# compilation recurse through rule sides.  Ground expressions are unlimited.
+MAX_RULE_DEPTH = 1000
 
 
 # ---- scanner ----------------------------------------------------------------
@@ -259,11 +265,14 @@ class _Parser:
     # rules --------------------------------------------------------------
 
     def parse_rule(self, op):
-        lhs_tok = self.peek()
         lhs_raw = self.parse_term()
         self.expect("punct", "=")
         rhs_raw = self.parse_term()
-        lhs, rhs, var_sorts = self.check_rule(op, lhs_raw, rhs_raw, lhs_tok)
+        var_sorts = {}
+        lhs = self.check_side(lhs_raw, op, PApp, partial(
+            self.check_pattern, op=op, var_sorts=var_sorts, wilds=[0]))
+        rhs = self.check_side(rhs_raw, op.result_sort, RApp,
+                              partial(self.check_rhs, var_sorts=var_sorts))
         rule = SourceRule(op, lhs, rhs, len(self.system.rules[op]), var_sorts)
         self.system.rules[op].append(rule)
 
@@ -305,32 +314,51 @@ class _Parser:
 
     # checking -----------------------------------------------------------
 
-    def check_rule(self, op, lhs_raw, rhs_raw, lhs_tok):
-        kind, payload, tok = lhs_raw
-        if kind != "app" or payload[0] != op.name:
-            self.fail(f"rule left side must be rooted by {op.name!r}", tok)
-        _, args = payload
-        if len(args) != op.arity:
-            self.fail(f"{op.name!r} takes {op.arity} argument(s)", tok)
-        var_sorts = {}
-        wild_count = [0]
-        pats = tuple(
-            self.check_pattern(a, s, var_sorts, wild_count)
-            for a, s in zip(args, op.arg_sorts)
-        )
-        lhs = PApp(op, pats)
-        rhs = self.check_rhs(rhs_raw, op.result_sort, var_sorts)
-        return lhs, rhs, var_sorts
+    def check_side(self, raw, sort, build, check_term):
+        """Check a rule side without recursion.  `check_term(raw, sort)`
+        returns a checked leaf, or the symbol of an application whose
+        arguments are checked next; `build(symbol, args)` then makes it.
+        No term may sit inside more than MAX_RULE_DEPTH argument lists."""
+        open_apps = []  # (symbol, raw args, checked args) of open applications
+        while True:
+            if len(open_apps) > MAX_RULE_DEPTH:
+                self.fail(f"rule side nested more than {MAX_RULE_DEPTH} "
+                          f"levels deep", raw[2])
+            term = check_term(raw, sort)
+            if term.__class__ is Symbol:
+                if raw[1][1]:
+                    open_apps.append((term, raw[1][1], []))
+                    raw, sort = raw[1][1][0], term.arg_sorts[0]
+                    continue
+                term = build(term, ())
+            while open_apps:
+                sym, args, done = open_apps[-1]
+                done.append(term)
+                if len(done) < len(args):
+                    raw, sort = args[len(done)], sym.arg_sorts[len(done)]
+                    break
+                open_apps.pop()
+                term = build(sym, tuple(done))
+            else:
+                return term
 
-    def check_pattern(self, raw, sort, var_sorts, wild_count):
+    def check_pattern(self, raw, sort, op, var_sorts, wilds):
+        """One left-side term: a checked leaf, or a symbol to apply.  The
+        root, whose `sort` is `op`, must be a call of `op`."""
         kind, payload, tok = raw
+        if sort is op:
+            if kind != "app" or payload[0] != op.name:
+                self.fail(f"rule left side must be rooted by {op.name!r}", tok)
+            if len(payload[1]) != op.arity:
+                self.fail(f"{op.name!r} takes {op.arity} argument(s)", tok)
+            return op
         if kind == "lit":
             if sort != INT_SORT:
                 self.fail(f"integer literal where {sort!r} expected", tok)
             return PLit(payload)
         if kind == "wild":
-            wild_count[0] += 1
-            name = "_" if wild_count[0] == 1 else f"_{wild_count[0]}"
+            wilds[0] += 1
+            name = "_" if wilds[0] == 1 else f"_{wilds[0]}"
             var_sorts[name] = sort
             return PVar(name, sort)
         name, args = payload
@@ -341,11 +369,7 @@ class _Parser:
                           f"expected {sort!r}", tok)
             if len(args) != sym.arity:
                 self.fail(f"{name!r} takes {sym.arity} argument(s)", tok)
-            pats = tuple(
-                self.check_pattern(a, s, var_sorts, wild_count)
-                for a, s in zip(args, sym.arg_sorts)
-            )
-            return PApp(sym, pats)
+            return sym
         if sym is not None:
             self.fail(f"operation {name!r} not allowed inside a pattern", tok)
         if args:
@@ -357,6 +381,7 @@ class _Parser:
         return PVar(name, sort)
 
     def check_rhs(self, raw, sort, var_sorts):
+        """One right-side term: a checked leaf, or a symbol to apply."""
         kind, payload, tok = raw
         if kind == "lit":
             if sort != INT_SORT:
@@ -380,10 +405,7 @@ class _Parser:
                       f"{sort!r}", tok)
         if len(args) != sym.arity:
             self.fail(f"{name!r} takes {sym.arity} argument(s)", tok)
-        kids = tuple(
-            self.check_rhs(a, s, var_sorts) for a, s in zip(args, sym.arg_sorts)
-        )
-        return RApp(sym, kids)
+        return sym
 
 
 def parse_system(text, name="system"):

@@ -6,9 +6,10 @@ settled.  Rules never fire under an unevaluated wrapper, so reductions follow
 the innermost evaluable position, left to right.  The loop is fully
 iterative: list-shaped inputs of any length evaluate without recursion.
 
-Rule left sides are compiled once per program into flat instruction tuples,
-and right sides into nested builder closures; both are cached on the rule
-objects so repeated evaluations pay nothing.
+The first evaluation of a program compiles its rules into slot code, one
+group per redex shape, that later evaluations reuse.  A selection fills one
+list of slots, one per left-side position in the group; match instructions
+and right-side builder closures read the nodes from their slots.
 
 Counters
 --------
@@ -28,7 +29,8 @@ Counters
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -39,7 +41,6 @@ from .core import (
     N,
     NeedleError,
     Node,
-    PAnyLit,
     PApp,
     PLit,
     PVar,
@@ -53,11 +54,11 @@ from .core import (
 
 DEFAULT_MAX_STEPS = 10**8
 
-_INT_KEY = "int"
 _EVALUABLE_KINDS = (CONTROL, SPECIALIZED)
 
 # Match instruction opcodes.
 _APP, _VAR, _LIT, _ANYLIT = 0, 1, 2, 3
+_NO_RULES = (2, ())  # the group of a redex shape no rule fires on
 
 
 def step_budget(max_steps=None):
@@ -91,15 +92,9 @@ class Counters:
     nodes_created: int = 0
 
     def as_dict(self):
-        return {
-            "rewrite steps": self.rewrite_steps,
-            "shortcut steps": self.shortcut_steps,
-            "dispatch steps": self.dispatch_steps,
-            "norm steps": self.norm_steps,
-            "node matches": self.node_matches,
-            "node allocations": self.node_allocations,
-            "nodes created": self.nodes_created,
-        }
+        """The counters by name: "rewrite steps", "node matches", ..."""
+        return {f.name.replace("_", " "): getattr(self, f.name)
+                for f in fields(self)}
 
 
 @dataclass
@@ -191,72 +186,89 @@ def source_label(label):
 # ---- rule compilation ---------------------------------------------------------
 
 
-def _compile_match(rule):
-    """Flatten a rule's argument patterns into match instructions.
+def _compile_groups(rules):
+    """Group a program's rules by redex shape and compile them to slot code.
 
-    Each instruction is (opcode, path, parent_path, child_index, payload);
-    instructions appear in pre-order, so a node's instruction always runs
-    after its parent's.  Paths are relative to the redex root.
+    A group is (slot count, entries), one entry per rule in priority order:
+    (rule, match code, builder, nodes created, variable slots).  Slot 0 is
+    the redex and, under H or N, slot 1 its child, which selection fetches
+    and checks against the group's key.  Match instructions are (opcode,
+    slot, parent slot, child index, payload) in pre-order, so a slot's
+    parent is always filled first.
     """
-    code = []
+    groups = {}
+    for rule in rules:
+        key = head = rule.head
+        wrapped = head is H or head is N
+        if wrapped:
+            child = rule.lhs.args[0]
+            key = (head, child.label if child.__class__ is PApp else int)
+        slot_of, entries = groups.setdefault(
+            key, ({(0, 0): 1} if wrapped else {}, []))
+        code, var_slot = [], {}
+        stack = [(arg, 0, i) for i, arg in enumerate(rule.lhs.args)][::-1]
+        while stack:
+            pattern, parent, idx = stack.pop()
+            slot = slot_of.setdefault((parent, idx), len(slot_of) + 1)
+            cls = pattern.__class__
+            if cls is PApp:
+                op, payload = _APP, pattern.label
+                args = enumerate(pattern.args)
+                stack += [(arg, slot, i) for i, arg in args][::-1]
+            elif cls is PLit:
+                op, payload = _LIT, pattern.value
+            else:
+                op, payload = (_VAR if cls is PVar else _ANYLIT), None
+                var_slot[pattern.name] = slot
+            if not (wrapped and slot == 1):
+                code.append((op, slot, parent, idx, payload))
+        build, created = _builder(rule, var_slot, slot_of)
+        entries.append((rule, tuple(code), build, created,
+                        tuple(var_slot.values())))
+    return {key: (len(slot_of) + 1, tuple(entries))
+            for key, (slot_of, entries) in groups.items()}
 
-    def walk(pattern, path):
-        ppath, idx = path[:-1], path[-1]
-        cls = pattern.__class__
-        if cls is PVar:
-            code.append((_VAR, path, ppath, idx, pattern.name))
-        elif cls is PAnyLit:
-            code.append((_ANYLIT, path, ppath, idx, pattern.name))
-        elif cls is PLit:
-            code.append((_LIT, path, ppath, idx, pattern.value))
-        else:
-            code.append((_APP, path, ppath, idx, pattern.label))
-            for i, arg in enumerate(pattern.args):
-                walk(arg, path + (i,))
 
-    for i, arg in enumerate(rule.lhs.args):
-        walk(arg, (i,))
-    return tuple(code)
+def _builder(rule, var_slot, slot_of):
+    """The rule's contraction as a closure over the match slots, and the
+    number of nodes it creates."""
+    if rule.builtin_op is not None:
+        name = rule.builtin_op
+        a, b = var_slot.values()
+        return (lambda s: Node(int_op(name, s[a].label, s[b].label))), 1
+    if rule.rhs is None:
+        return None, 0
+    build, created = _compile_template(rule.rhs, var_slot, slot_of)
+    return (itemgetter(build) if build.__class__ is int else build), created
 
 
-def _compile_template(template):
-    """Turn a right-side template into a builder closure.
-
-    The closure takes (evaluator, redex, bindings) and returns the
-    replacement node, counting every allocation it performs.
-    """
+def _compile_template(template, var_slot, slot_of):
+    """A template's builder and created-node count; a variable or a shared
+    left-side position is its slot number in place of a builder."""
     cls = template.__class__
     if cls is RVar:
-        name = template.name
-        return lambda ev, redex, bindings: bindings[name]
+        return var_slot[template.name], 0
     if cls is RShare:
-        path = template.path
-
-        def build_share(ev, redex, bindings):
-            node = redex
-            for i in path:
-                child = node.children[i]
-                node = child if child.forward is None else resolve(child)
-            return node
-
-        return build_share
+        slot = 0
+        for i in template.path:
+            slot = slot_of[(slot, i)]
+        return slot, 0
     if cls is RLit:
         value = template.value
-
-        def build_lit(ev, redex, bindings):
-            ev.counters.nodes_created += 1
-            return Node(value)
-
-        return build_lit
+        return (lambda s: Node(value)), 1
     label = template.label
-    kid_fns = tuple(_compile_template(c) for c in template.children)
-
-    def build_app(ev, redex, bindings):
-        kids = [fn(ev, redex, bindings) for fn in kid_fns]
-        ev.counters.nodes_created += 1
-        return Node(label, kids)
-
-    return build_app
+    kids, created = [], 1
+    for child in template.children:
+        kid, n = _compile_template(child, var_slot, slot_of)
+        kids.append(itemgetter(kid) if kid.__class__ is int else kid)
+        created += n
+    if len(kids) == 2:
+        f, g = kids
+        return (lambda s: Node(label, (f(s), g(s)))), created
+    if len(kids) == 1:
+        f, = kids
+        return (lambda s: Node(label, (f(s),))), created
+    return (lambda s: Node(label, [f(s) for f in kids])), created
 
 
 # ---- the evaluator ------------------------------------------------------------
@@ -271,105 +283,67 @@ class Evaluator:
         self.steps = 0
         self.trace = [] if trace else None
         self.done = set()
-        groups = program.rule_groups
-        if groups is None:
-            groups = {}
-            for rule in program.rules:
-                if rule.match_code is None:
-                    rule.match_code = _compile_match(rule)
-                    if rule.rhs is not None:
-                        rule.rhs_fn = _compile_template(rule.rhs)
-                head = rule.head
-                if head is H or head is N:
-                    key = (head.name, self._child_key(rule.lhs.args[0]))
-                else:
-                    key = head
-                groups.setdefault(key, []).append(rule)
-            program.rule_groups = groups
-        self.groups = groups
-
-    @staticmethod
-    def _child_key(pattern):
-        if isinstance(pattern, PApp):
-            return pattern.label
-        return _INT_KEY
+        self.fetched = set()
+        if program.rule_groups is None:
+            program.rule_groups = _compile_groups(program.rules)
+        self.groups = program.rule_groups
 
     # ---- matching ------------------------------------------------------
 
     def select(self, node):
         """Pick the first matching rule at an evaluable node.
 
-        Returns (rule, bindings) or (None, None).  Every node-label fetch is
-        counted once per selection (the redex root label is already known
-        from scheduling and is free).
+        Returns the rule's group entry and the slots of the match, or
+        raises NoRuleError.  Every node-label fetch is counted once per
+        selection (the redex root label is already known from scheduling
+        and is free).
         """
         counters = self.counters
+        fetched = self.fetched
+        fetched.clear()
         label = node.label
         if label is H or label is N:
             child = node.children[0]
             if child.forward is not None:
                 child = resolve(child)
             clabel = child.label
-            ckey = clabel if clabel.__class__ is Symbol else _INT_KEY
-            group = self.groups.get((label.name, ckey))
-            cache = {(): node, (0,): child}
-            fetched = {child.nid}
+            group = self.groups.get(
+                (label, clabel if clabel.__class__ is Symbol else int),
+                _NO_RULES)
             counters.node_matches += 1
+            slots = [None] * group[0]
+            slots[1] = child
+            fetched.add(child)
         else:
-            group = self.groups.get(label)
-            cache = {(): node}
-            fetched = set()
-        if not group:
-            return None, None
+            group = self.groups.get(label, _NO_RULES)
+            slots = [None] * group[0]
+        slots[0] = node
         matches = 0
-        cache_get = cache.get
-        for rule in group:
-            bindings = {}
-            ok = True
-            for op, path, ppath, idx, payload in rule.match_code:
-                target = cache_get(path)
+        for entry in group[1]:
+            for op, slot, parent, idx, payload in entry[1]:
+                target = slots[slot]
                 if target is None:
-                    child = cache[ppath].children[idx]
-                    target = child if child.forward is None \
-                        else resolve(child)
-                    cache[path] = target
+                    target = slots[parent].children[idx]
+                    if target.forward is not None:
+                        target = resolve(target)
+                    slots[slot] = target
+                if op == _VAR:
+                    continue
+                if target not in fetched:
+                    fetched.add(target)
+                    matches += 1
                 if op == _APP:
-                    nid = target.nid
-                    if nid not in fetched:
-                        fetched.add(nid)
-                        matches += 1
                     if target.label is not payload:
-                        ok = False
                         break
-                elif op == _VAR:
-                    bindings[payload] = target
                 else:  # _LIT or _ANYLIT
-                    nid = target.nid
-                    if nid not in fetched:
-                        fetched.add(nid)
-                        matches += 1
                     tlabel = target.label
                     if tlabel.__class__ is not int \
                             or (op == _LIT and tlabel != payload):
-                        ok = False
                         break
-                    if op == _ANYLIT:
-                        bindings[payload] = target
-            if ok:
+            else:
                 counters.node_matches += matches
-                return rule, bindings
-        counters.node_matches += matches
-        return None, None
-
-    # ---- contraction ---------------------------------------------------
-
-    def contract(self, rule, redex, bindings):
-        if rule.builtin_op is not None:
-            a = bindings[rule.builtin_operands[0]].label
-            b = bindings[rule.builtin_operands[1]].label
-            self.counters.nodes_created += 1
-            return Node(int_op(rule.builtin_op, a, b))
-        return rule.rhs_fn(self, redex, bindings)
+                return entry, slots
+        raise NoRuleError(f"no rule matches {label.name} node {node.nid}")
 
     # ---- main loop -----------------------------------------------------
 
@@ -399,19 +373,16 @@ class Evaluator:
                 kids = node.children
                 if kids:
                     push((node, 1))
-                    for i in range(len(kids) - 1, -1, -1):
-                        push((kids[i], 0))
+                    for kid in reversed(kids):
+                        push((kid, 0))
                     continue
                 # Childless nodes settle (or fire) without a second visit.
             if label.kind not in _EVALUABLE_KINDS:
                 done_add(nid)
                 continue
             # An evaluable node with settled children: fire a rule.
-            rule, bindings = self.select(node)
-            if rule is None:
-                self.steps = steps
-                raise NoRuleError(
-                    f"no rule matches {label.name} node {node.nid}")
+            entry, slots = self.select(node)
+            rule, _, build, created, var_slots = entry
             cls = rule.step_class
             if cls == "none":  # exempt: no rule can ever apply here
                 self.steps = steps
@@ -430,12 +401,13 @@ class Evaluator:
                 counters.norm_steps += 1
             counters.node_allocations += rule.countable_allocs
             if __debug__:
-                for bound in bindings.values():
-                    blabel = bound.label
+                for slot in var_slots:
+                    blabel = slots[slot].label
                     assert not (isinstance(blabel, Symbol)
                                 and blabel.kind in _EVALUABLE_KINDS), \
                         "innermost discipline violated"
-            replacement = self.contract(rule, node, bindings)
+            counters.nodes_created += created
+            replacement = build(slots)
             node.forward = replacement
             if tracing:
                 self.trace.append(TraceStep(rule, node, replacement))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from needle.cli import main
@@ -92,6 +96,40 @@ def test_bad_step_budgets_exit_1(monkeypatch, capsys):
         assert main(args + ["--mode", mode]) == 1
         assert "NEEDLE_MAX_STEPS must be an integer, not 'abc'" \
             in capsys.readouterr().err
+
+
+def test_rule_side_depth_limit(tmp_path, capsys):
+    def system(depth):
+        path = tmp_path / f"deep{depth}.rw"
+        path.write_text("data Nat = Z | S(Nat);\nop f(Nat) -> Nat:\n"
+                        f"    f(x) = {'S(' * depth}x{')' * depth};\n")
+        return str(path)
+
+    assert main(["eval", system(1000), "f(Z)", "--mode", "or"]) == 0
+    assert capsys.readouterr().out == "S(" * 1000 + "Z" + ")" * 1000 + "\n"
+    for depth in (1001, 20000):
+        assert main(["check", system(depth)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 3:2014: rule side nested more than 1000 levels deep")
+
+
+@pytest.mark.slow
+def test_traced_runs_out_of_memory_exit_1():
+    # a divergent traced run grows its log until memory runs out; the
+    # child interpreter alone gets a 400 MB address-space limit
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+            "from needle.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for args in (["validate", LOOP, "fst(MkPair(loop, 0))"],
+                 ["eval", LOOP, "fst(MkPair(loop, 0))", "--trace"]):
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr[-2000:]
+        assert done.stdout == ""
+        assert done.stderr == \
+            "error: out of memory; --max-steps bounds the run\n"
 
 
 def test_bench_prints_the_counter_table(capsys):

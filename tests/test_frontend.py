@@ -225,6 +225,26 @@ def test_error_positions_point_at_the_offence():
         pytest.fail("expected a SourceError")
 
 
+def test_rule_sides_nest_at_most_1000_deep():
+    # checking once recursed per nesting level, and 20,000 levels crashed
+    # the interpreter; the limit counts the argument lists around a term
+    def rule(lhs_depth, rhs_depth):
+        lhs = "S(" * lhs_depth + "x" + ")" * lhs_depth
+        rhs = "S(" * rhs_depth + "x" + ")" * rhs_depth
+        return f"op f(Nat) -> Nat: f({lhs}) = {rhs};"
+
+    parse_system("data Nat = Z | S(Nat);\n" + rule(999, 1000))
+    # the error points at the first term inside 1,001 argument lists
+    lhs_start, rhs_start = len("op f(Nat) -> Nat: f("), len(rule(0, 0)) - 2
+    for line, col in ((rule(1000, 0), lhs_start + 2 * 1000 + 1),
+                      (rule(0, 1001), rhs_start + 2 * 1001 + 1),
+                      (rule(0, 20000), rhs_start + 2 * 1001 + 1)):
+        with pytest.raises(SourceError,
+                           match="nested more than 1000 levels deep") as err:
+            parse_system("data Nat = Z | S(Nat);\n" + line)
+        assert (err.value.line, err.value.col) == (2, col)
+
+
 def test_deep_expressions_parse_evaluate_and_print(systems):
     # parsing once recursed per nesting level and failed near 100,000
     system = systems["length"]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from needle import EvaluationError, build_program, evaluate, parse_expr
+from needle import (EvaluationError, build_program, evaluate, parse_expr,
+                    parse_system)
 from needle.core import resolve
 from needle.render import format_node
 from needle.runtime import DEFAULT_MAX_STEPS, NoRuleError, Replay, step_budget
@@ -101,6 +102,50 @@ def test_fib_counters_exact(systems, programs):
         assert counters_of(res) == expected, mode
 
 
+SHARING_SYSTEM = """
+data Nat = Z | S(Nat);
+op both(Nat, Nat) -> Nat:
+    both(Z, y) = y
+    both(S(a), Z) = Z
+    both(S(a), S(b)) = S(S(both(a, b)));
+op twice(Nat) -> Nat:
+    twice(x) = both(x, x);
+op double(Int) -> Int:
+    double(n) = add(n, n);
+"""
+
+
+def test_node_matches_count_a_shared_node_once():
+    # Each right side passes one node twice, so two left-side positions of
+    # the next rule resolve to the same node; it is fetched once.
+    system = parse_system(SHARING_SYSTEM, "sharing")
+    want = {
+        "double(3)": {
+            "cr": (2, 0, 0, 2, 5, 2, 6),
+            "tr": (1, 1, 0, 2, 3, 1, 4),
+            "or": (1, 1, 0, 2, 3, 1, 4),
+        },
+        "double(sub(5, 2))": {
+            "cr": (4, 0, 2, 2, 17, 4, 14),
+            "tr": (3, 1, 2, 2, 11, 3, 10),
+            "or": (3, 1, 2, 2, 11, 3, 10),
+        },
+        "twice(S(S(Z)))": {
+            "cr": (4, 0, 0, 8, 15, 7, 26),
+            "tr": (3, 1, 0, 8, 11, 6, 22),
+            "or": (3, 1, 0, 8, 11, 6, 22),
+        },
+    }
+    values = {"double(3)": "6", "double(sub(5, 2))": "6",
+              "twice(S(S(Z)))": "S(S(S(S(Z))))"}
+    for text, per_mode in want.items():
+        for mode, expected in per_mode.items():
+            expr, _ = parse_expr(system, text)
+            res = evaluate(build_program(system, mode), expr)
+            assert format_node(res.root) == values[text], (text, mode)
+            assert counters_of(res) == expected, (text, mode)
+
+
 def test_proper_steps_are_conserved_across_modes(systems, programs):
     results = {mode: run(systems, programs, "fib", mode, "fib(5)")
                for mode in ("cr", "tr", "or")}
@@ -159,13 +204,14 @@ def test_incomplete_programs_raise_no_rule_error(systems):
         evaluate(program, expr)
 
 
-def test_compiled_rule_caches_fill_on_first_use(systems, programs):
+def test_compiled_rule_caches_fill_on_first_use(systems):
     program = build_program(systems["append"], "cr")
     assert program.rule_groups is None
     expr, _ = parse_expr(systems["append"], APPEND_EXPR)
     first = evaluate(program, expr)
-    assert program.rule_groups is not None
-    assert all(r.match_code is not None for r in program.rules)
+    groups = program.rule_groups
+    assert groups
     expr, _ = parse_expr(systems["append"], APPEND_EXPR)
     again = evaluate(program, expr)
+    assert program.rule_groups is groups
     assert counters_of(first) == counters_of(again)
