@@ -32,8 +32,11 @@ EXIT_STEP_LIMIT = 4
 
 
 def _load_system(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise NeedleError(f"{path}: not UTF-8 text") from None
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".rw"):
         name = name[:-3]
@@ -101,6 +104,8 @@ def cmd_eval(args):
 def cmd_bench(args):
     system = _load_system(args.file)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise NeedleError("no modes given")
     for mode in modes:
         if mode not in ("cr", "tr", "or"):
             print(f"error: unknown mode {mode!r}", file=sys.stderr)

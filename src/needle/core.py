@@ -11,6 +11,8 @@ identity) or plain Python ints for integer literals.
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -85,10 +87,6 @@ class Node:
         return f"<node {self.nid} {name}>"
 
 
-def mk(label, *children):
-    return Node(label, children)
-
-
 def resolve(node):
     """Follow forwarding pointers; compresses the path as it goes."""
     target = node
@@ -99,6 +97,22 @@ def resolve(node):
         node.forward = target
         node = nxt
     return target
+
+
+def acyclic(fn):
+    """`fn` run with CPython's cyclic garbage collector paused, and its state
+    restored on return.  Term graphs are acyclic (children point at older
+    nodes, `forward` at newer ones), so reference counting alone frees them."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def child_at(node, path):

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (BUILTIN, Node, PLit, PVar, RLit, RVar, Symbol, child_at,
-                   int_op, resolve)
+from .core import (BUILTIN, Node, PLit, PVar, RLit, RVar, Symbol, acyclic,
+                   child_at, int_op, resolve)
 from .deftree import DTBranch, DTExempt, DTRule, build_all_deftrees
 from .runtime import Replay, source_label, step_budget
 
@@ -166,6 +166,7 @@ def _contract(found):
     return apply_source_rule(found.rule, node)
 
 
+@acyclic
 def oracle_eval(system, root, max_steps=None, trees=None):
     """Drive `root` to constructor normal form with the source strategy."""
     if trees is None:
@@ -256,6 +257,7 @@ def _same_graph(replay, machine, source, image):
     return True
 
 
+@acyclic
 def validate_trace(system, result, trees=None):
     """Check a traced compiled run step by step against the source system.
 
@@ -265,8 +267,8 @@ def validate_trace(system, result, trees=None):
     rewrite and shortcut steps perform exactly one source-rule step, at the
     node the source strategy itself demands.  After a violation the source
     graph is copied afresh and the strategy restarted on it, so each step is
-    judged on its own.  For completed
-    runs the final state must be wrapper-free.  Returns a ValidationReport.
+    judged on its own.  For completed runs the final state must be
+    wrapper-free.  Returns a ValidationReport.
     """
     assert result.trace is not None, "run the evaluator with trace=True"
     if trees is None:

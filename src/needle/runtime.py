@@ -1,10 +1,11 @@
 """Instrumented evaluator for object programs.
 
-Evaluation drives a worklist of (node, phase) pairs: phase 0 schedules a
-node's children, phase 1 fires rules at the node once everything below it is
-settled.  Rules never fire under an unevaluated wrapper, so reductions follow
-the innermost evaluable position, left to right.  The loop is fully
-iterative: list-shaped inputs of any length evaluate without recursion.
+Evaluation drives a worklist of nodes.  A node with children goes back under a
+settle mark, its children on top, leftmost first, and fires a rule, if it is
+evaluable, once the mark is popped.  Rules never fire under an unevaluated
+wrapper, so reductions follow the innermost evaluable position, left to right.
+The loop is iterative (inputs of any depth evaluate without recursion) and
+runs with CPython's cyclic garbage collector paused (`core.acyclic`).
 
 The first evaluation of a program compiles its rules into slot code, one
 group per redex shape, that later evaluations reuse.  A selection fills one
@@ -48,6 +49,7 @@ from .core import (
     RShare,
     RVar,
     Symbol,
+    acyclic,
     int_op,
     resolve,
 )
@@ -55,6 +57,7 @@ from .core import (
 DEFAULT_MAX_STEPS = 10**8
 
 _EVALUABLE_KINDS = (CONTROL, SPECIALIZED)
+_SETTLE = object()  # worklist mark: the node under it has settled children
 
 # Match instruction opcodes.
 _APP, _VAR, _LIT, _ANYLIT = 0, 1, 2, 3
@@ -351,7 +354,7 @@ class Evaluator:
         self.root = root
         done = self.done
         done_add = done.add
-        stack = [(root, 0)]
+        stack = [root]
         pop = stack.pop
         push = stack.append
         counters = self.counters
@@ -359,26 +362,26 @@ class Evaluator:
         max_steps = self.max_steps
         steps = self.steps
         while stack:
-            node, phase = pop()
-            if node.forward is not None:
-                node = resolve(node)
-            nid = node.nid
-            if nid in done:
-                continue
-            label = node.label
-            if label.__class__ is int:
-                done_add(nid)
-                continue
-            if phase == 0:
+            node = pop()
+            if node is _SETTLE:
+                node = pop()  # acyclic: nothing below rewrote or settled it
+            else:
+                if node.forward is not None:
+                    node = resolve(node)
+                if node.nid in done:
+                    continue
+                if node.label.__class__ is int:
+                    done_add(node.nid)
+                    continue
                 kids = node.children
                 if kids:
-                    push((node, 1))
-                    for kid in reversed(kids):
-                        push((kid, 0))
+                    push(node)
+                    push(_SETTLE)
+                    stack += reversed(kids)
                     continue
                 # Childless nodes settle (or fire) without a second visit.
-            if label.kind not in _EVALUABLE_KINDS:
-                done_add(nid)
+            if node.label.kind not in _EVALUABLE_KINDS:
+                done_add(node.nid)
                 continue
             # An evaluable node with settled children: fire a rule.
             entry, slots = self.select(node)
@@ -411,7 +414,7 @@ class Evaluator:
             node.forward = replacement
             if tracing:
                 self.trace.append(TraceStep(rule, node, replacement))
-            push((replacement, 0))
+            push(replacement)
         self.steps = steps
         return self._result("value")
 
@@ -422,6 +425,7 @@ class Evaluator:
                           abort_rule)
 
 
+@acyclic
 def evaluate(program, expr, max_steps=None, trace=False):
     """Normalize `expr` (a source-term graph) under an object program."""
     root = Node(N, (expr,))

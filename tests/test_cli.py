@@ -43,6 +43,16 @@ def test_missing_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_system_file_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.rw"
+    bad.write_bytes(b"op f() -> Int:\n f() = 1;\n\xff\xfe")
+    for argv in (["check", str(bad)], ["eval", str(bad), "f", "--mode", "or"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: not UTF-8 text\n"
+        assert captured.out == ""
+
+
 def test_tree_prints_definitional_trees(capsys):
     assert main(["tree", FIB, "--op", "fib"]) == 0
     out = capsys.readouterr().out
@@ -141,6 +151,14 @@ def test_bench_prints_the_counter_table(capsys):
     assert "unknown mode 'zz'" in capsys.readouterr().err
     assert main(["bench", LOOP, "loop", "--max-steps", "10"]) == 1
     assert "ended with steplimit" in capsys.readouterr().err
+
+
+def test_bench_rejects_an_empty_mode_list(capsys):
+    for modes in (",", "", " , "):
+        assert main(["bench", FIB, "fib(3)", "--modes", modes]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no modes given\n"
+        assert captured.out == ""
 
 
 def test_validate_compares_against_the_source_strategy(capsys):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from needle import (EvaluationError, build_program, evaluate, parse_expr,
-                    parse_system)
+from needle import (EvaluationError, build_program, evaluate, oracle_eval,
+                    parse_expr, parse_system, validate_trace)
 from needle.core import resolve
-from needle.render import format_node
+from needle.render import format_node, format_trace
 from needle.runtime import DEFAULT_MAX_STEPS, NoRuleError, Replay, step_budget
 
 APPEND_EXPR = "append(Cons(1, Nil), Cons(2, Nil))"
@@ -215,3 +217,95 @@ def test_compiled_rule_caches_fill_on_first_use(systems):
     again = evaluate(program, expr)
     assert program.rule_groups is groups
     assert counters_of(first) == counters_of(again)
+
+
+# ---- memory management --------------------------------------------------------
+
+# One input per corpus system, plus an abort and a step-limited divergence.
+GC_CASES = [
+    ("append", APPEND_EXPR, None),
+    ("length", "length(append(Cons(4, Nil), Cons(5, Cons(6, Nil))))", None),
+    ("fib", "fib(8)", None),
+    ("head", "head(Cons(7, Nil))", None),
+    ("head", "head(Nil)", None),
+    ("loop", "snd(MkPair(loop, 0))", None),
+    ("loop", "fst(MkPair(loop, 0))", 50),
+    ("tree", "size(mirror(Fork(Tip(1), Fork(Tip(2), Leaf))))", None),
+]
+
+
+def _rewrite_every_case(systems, compiled):
+    outcomes = set()
+    for name, text, budget in GC_CASES:
+        system = systems[name]
+        expr, _ = parse_expr(system, text)
+        outcomes.add(oracle_eval(system, expr, max_steps=budget).outcome)
+        for mode in ("cr", "tr", "or"):
+            expr, _ = parse_expr(system, text)
+            evaluate(compiled[name, mode], expr, max_steps=budget)
+            expr, _ = parse_expr(system, text)
+            res = evaluate(compiled[name, mode], expr, max_steps=budget,
+                           trace=True)
+            format_trace(res)
+            assert validate_trace(system, res).ok, (name, text, mode)
+            outcomes.add(res.outcome)
+    return outcomes
+
+
+def test_rewriting_creates_no_cyclic_garbage(systems):
+    # Term graphs are acyclic, so reference counting alone must free every
+    # node, trace and result that evaluation and validation leave behind;
+    # this is what lets them run with the cyclic collector paused.
+    compiled = {(name, mode): build_program(systems[name], mode)
+                for name, _, _ in GC_CASES for mode in ("cr", "tr", "or")}
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        outcomes = _rewrite_every_case(systems, compiled)
+        assert outcomes == {"value", "aborted", "steplimit"}
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _gc_state_after(call, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            call()
+        except EvaluationError:
+            pass
+        return gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_rewriting_leaves_the_collector_as_it_found_it(systems, programs):
+    fib = systems["fib"]
+
+    def run_fib(text, trace=False):
+        expr, _ = parse_expr(fib, text)
+        return evaluate(programs("fib", "cr"), expr, trace=trace)
+
+    def run_oracle(text):
+        expr, _ = parse_expr(fib, text)
+        return oracle_eval(fib, expr)
+
+    overflow = "add(9223372036854775807, 1)"
+    calls = [
+        lambda: run_fib("fib(5)"),
+        lambda: run_oracle("fib(5)"),
+        lambda: validate_trace(fib, run_fib("fib(5)", trace=True)),
+        lambda: run_fib(overflow),
+        lambda: run_oracle(overflow),
+    ]
+    with pytest.raises(EvaluationError):
+        run_fib(overflow)
+    with pytest.raises(EvaluationError):
+        run_oracle(overflow)
+    for call in calls:
+        assert _gc_state_after(call, enabled=True) is True
+        assert _gc_state_after(call, enabled=False) is False
