@@ -128,20 +128,21 @@ def cmd_bench(args):
 def cmd_validate(args):
     system = _load_system(args.file)
     expr, _ = parse_expr(system, args.expr)
-    program = build_program(system, "cr")
+    program = build_program(system, args.mode)
     result = evaluate(program, expr, max_steps=args.max_steps, trace=True)
     report = validate_trace(system, result)
     oracle_expr, _ = parse_expr(system, args.expr)
     oracle = oracle_eval(system, oracle_expr, max_steps=args.max_steps)
     problems = list(report.violations)
     if oracle.outcome != result.outcome:
-        problems.append(f"outcome mismatch: cr={result.outcome} "
+        problems.append(f"outcome mismatch: {args.mode}={result.outcome} "
                         f"source={oracle.outcome}")
     elif result.outcome != "steplimit" and report.proper_steps != oracle.steps:
         # (on steplimit both runs are truncated at unrelated points, so the
         # counts carry no signal)
-        problems.append(f"step mismatch: cr performed {report.proper_steps} "
-                        f"proper step(s), source strategy {oracle.steps}")
+        problems.append(f"step mismatch: {args.mode} performed "
+                        f"{report.proper_steps} proper step(s), "
+                        f"source strategy {oracle.steps}")
     if problems:
         for p in problems:
             print(f"violation: {p}", file=sys.stderr)
@@ -190,10 +191,11 @@ def build_arg_parser():
     p.add_argument("--max-steps", type=int, default=None)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("validate", help="trace a cr run and check it "
-                                        "against the source strategy")
+    p = sub.add_parser("validate", help="trace a compiled run and check "
+                                        "it against the source strategy")
     p.add_argument("file")
     p.add_argument("expr")
+    p.add_argument("--mode", choices=("cr", "tr", "or"), default="cr")
     p.add_argument("--max-steps", type=int, default=None)
     p.set_defaults(func=cmd_validate)
     return parser

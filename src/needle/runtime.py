@@ -1,11 +1,15 @@
 """Instrumented evaluator for object programs.
 
-Evaluation drives a worklist of nodes.  A node with children goes back under a
-settle mark, its children on top, leftmost first, and fires a rule, if it is
-evaluable, once the mark is popped.  Rules never fire under an unevaluated
-wrapper, so reductions follow the innermost evaluable position, left to right.
-The loop is iterative (inputs of any depth evaluate without recursion) and
-runs with CPython's cyclic garbage collector paused (`core.acyclic`).
+Evaluation drives a worklist of evaluable nodes (`H`, `N` and `f^H`), which
+starts as the root `N` alone: the input is a source term, so nothing below
+the root is evaluable.  A rule fires only on a node whose whole subgraph is
+settled, so every node its right side reuses is settled too, and the only
+nodes that can still need a rule are the evaluable nodes the right side
+creates.  Each step pushes exactly those, in reverse post-order, so rules
+fire innermost first, left to right, and no node is visited unless a rule
+fires on it.  The loop is iterative (inputs of any depth evaluate without
+recursion) and runs with CPython's cyclic garbage collector paused
+(`core.acyclic`).
 
 The first evaluation of a program compiles its rules into slot code, one
 group per redex shape, that later evaluations reuse.  A selection fills one
@@ -45,6 +49,7 @@ from .core import (
     PApp,
     PLit,
     PVar,
+    RApp,
     RLit,
     RShare,
     RVar,
@@ -57,7 +62,6 @@ from .core import (
 DEFAULT_MAX_STEPS = 10**8
 
 _EVALUABLE_KINDS = (CONTROL, SPECIALIZED)
-_SETTLE = object()  # worklist mark: the node under it has settled children
 
 # Match instruction opcodes.
 _APP, _VAR, _LIT, _ANYLIT = 0, 1, 2, 3
@@ -193,7 +197,9 @@ def _compile_groups(rules):
     """Group a program's rules by redex shape and compile them to slot code.
 
     A group is (slot count, entries), one entry per rule in priority order:
-    (rule, match code, builder, nodes created, variable slots).  Slot 0 is
+    (rule, match code, builder, nodes created, variable slots, fresh
+    evaluable paths).  The paths lead from the contractum's root to each
+    evaluable node the right side creates, in reverse post-order.  Slot 0 is
     the redex and, under H or N, slot 1 its child, which selection fetches
     and checks against the group's key.  Match instructions are (opcode,
     slot, parent slot, child index, payload) in pre-order, so a slot's
@@ -227,9 +233,24 @@ def _compile_groups(rules):
                 code.append((op, slot, parent, idx, payload))
         build, created = _builder(rule, var_slot, slot_of)
         entries.append((rule, tuple(code), build, created,
-                        tuple(var_slot.values())))
+                        tuple(var_slot.values()), _evaluable_paths(rule.rhs)))
     return {key: (len(slot_of) + 1, tuple(entries))
             for key, (slot_of, entries) in groups.items()}
+
+
+def _evaluable_paths(template):
+    """Paths to the evaluable nodes a right side creates, in reverse
+    post-order (a right-to-left pre-order)."""
+    if template.__class__ is not RApp:
+        return ()
+    paths, stack = [], [(template, ())]
+    while stack:
+        t, path = stack.pop()
+        if t.label.kind in _EVALUABLE_KINDS:
+            paths.append(path)
+        stack += [(child, path + (i,)) for i, child in enumerate(t.children)
+                  if child.__class__ is RApp]
+    return tuple(paths)
 
 
 def _builder(rule, var_slot, slot_of):
@@ -285,7 +306,6 @@ class Evaluator:
         self.counters = Counters()
         self.steps = 0
         self.trace = [] if trace else None
-        self.done = set()
         self.fetched = set()
         if program.rule_groups is None:
             program.rule_groups = _compile_groups(program.rules)
@@ -352,8 +372,6 @@ class Evaluator:
 
     def run(self, root):
         self.root = root
-        done = self.done
-        done_add = done.add
         stack = [root]
         pop = stack.pop
         push = stack.append
@@ -363,29 +381,8 @@ class Evaluator:
         steps = self.steps
         while stack:
             node = pop()
-            if node is _SETTLE:
-                node = pop()  # acyclic: nothing below rewrote or settled it
-            else:
-                if node.forward is not None:
-                    node = resolve(node)
-                if node.nid in done:
-                    continue
-                if node.label.__class__ is int:
-                    done_add(node.nid)
-                    continue
-                kids = node.children
-                if kids:
-                    push(node)
-                    push(_SETTLE)
-                    stack += reversed(kids)
-                    continue
-                # Childless nodes settle (or fire) without a second visit.
-            if node.label.kind not in _EVALUABLE_KINDS:
-                done_add(node.nid)
-                continue
-            # An evaluable node with settled children: fire a rule.
             entry, slots = self.select(node)
-            rule, _, build, created, var_slots = entry
+            rule, _, build, created, var_slots, fresh = entry
             cls = rule.step_class
             if cls == "none":  # exempt: no rule can ever apply here
                 self.steps = steps
@@ -414,7 +411,11 @@ class Evaluator:
             node.forward = replacement
             if tracing:
                 self.trace.append(TraceStep(rule, node, replacement))
-            push(replacement)
+            for path in fresh:
+                target = replacement
+                for i in path:
+                    target = target.children[i]
+                push(target)
         self.steps = steps
         return self._result("value")
 
@@ -427,6 +428,10 @@ class Evaluator:
 
 @acyclic
 def evaluate(program, expr, max_steps=None, trace=False):
-    """Normalize `expr` (a source-term graph) under an object program."""
+    """Normalize `expr` (a source-term graph) under an object program.
+
+    `expr` must hold no `H`, `N` or `f^H` node (`parse_expr` output never
+    does): only the root `N` and the nodes rules create are scheduled.
+    """
     root = Node(N, (expr,))
     return Evaluator(program, max_steps=max_steps, trace=trace).run(root)

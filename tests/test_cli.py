@@ -171,6 +171,22 @@ def test_validate_compares_against_the_source_strategy(capsys):
     assert "source strategy agrees" in capsys.readouterr().out
 
 
+def test_validate_checks_tr_and_or(capsys):
+    inputs = [(FIB, "fib(5)"), (APPEND, "append(Cons(1, Nil), Cons(2, Nil))"),
+              (f"{CORPUS}/length.rw", "length(append(Cons(4, Nil), Nil))"),
+              (f"{CORPUS}/tree.rw", "size(mirror(Fork(Tip(1), Leaf)))"),
+              (HEAD, "head(Cons(7, Nil))"), (HEAD, "head(Nil)"),
+              (LOOP, "snd(MkPair(loop, 0))")]
+    for mode in ("tr", "or"):
+        for path, expr in inputs:
+            assert main(["validate", path, expr, "--mode", mode]) == 0, \
+                (mode, expr)
+            assert "source strategy agrees" in capsys.readouterr().out
+    assert main(["validate", FIB, "fib(5)", "--mode", "or"]) == 0
+    assert capsys.readouterr().out == "ok: 38 machine step(s), " \
+        "36 proper step(s), source strategy agrees\n"
+
+
 def test_usage_error_for_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 
 import pytest
+from conftest import app, int_list
 
 from needle import (EvaluationError, build_program, evaluate, oracle_eval,
                     parse_expr, parse_system, validate_trace)
@@ -168,6 +170,25 @@ def test_result_shares_input_subgraphs(systems, programs):
     # in the value is the very node that was parsed
     tail = resolve(res.root.children[1])
     assert resolve(tail.children[0]) is lit2
+
+
+def test_evaluation_cost_follows_the_steps_not_the_input(systems, programs):
+    # head of a long list fires three rules; nothing else in the list may
+    # be visited, so memory must not grow with the list.
+    system = systems["head"]
+    for mode in ("cr", "tr", "or"):
+        # a first evaluation compiles the rule groups outside the measurement
+        run(systems, programs, "head", mode, "head(Cons(7, Nil))")
+        expr = app(system, "head", int_list(system, range(200_000)))
+        tracemalloc.start()
+        try:
+            res = evaluate(programs("head", mode), expr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert format_node(res.root) == "0", mode
+        assert res.steps == 3, mode
+        assert peak < 1_000_000, (mode, peak)
 
 
 def test_trace_logs_one_contraction_per_step(systems, programs):
