@@ -191,6 +191,8 @@ class Violation:
     step: int
     kind: str
     detail: str
+    rule: object = None  # the step's object rule; None for wrapper-in-value
+    source: object = None  # its source rule; None for builtin/dispatch/norm
 
     def __str__(self):
         return f"step {self.step}: {self.kind}: {self.detail}"
@@ -237,23 +239,33 @@ def _same_graph(replay, machine, source, image):
 
     The walk stops at machine nodes whose image is known, which must be the
     very source node met there.  Every other machine node must carry the
-    label of its source counterpart, and becomes its image.
+    label of its source counterpart, and becomes its image.  The stack holds
+    machine and source nodes in turn.
     """
-    stack = [(machine, source)]
+    stack = [machine, source]
+    pop = stack.pop
+    push = stack.append
+    erased = replay.erased
     while stack:
-        m, s = stack.pop()
-        m = replay.erased(m)
-        s = resolve(s)
+        s = pop()
+        m = erased(pop())
+        if s.forward is not None:
+            s = resolve(s)
         known = image.get(m.nid)
         if known is not None:
             if known is not s:
                 return False
             continue
-        if source_label(m.label) != s.label \
-                or len(m.children) != len(s.children):
+        label = m.label
+        if label.__class__ is Symbol and label.base is not None:
+            label = label.base
+        kids = m.children
+        if label != s.label or len(kids) != len(s.children):
             return False
         image[m.nid] = s
-        stack.extend(zip(m.children, s.children))
+        for kid, source_kid in zip(kids, s.children):
+            push(kid)
+            push(source_kid)
     return True
 
 
@@ -284,6 +296,7 @@ def validate_trace(system, result, trees=None):
         rule = step.rule
         redex = replay.erased(step.redex)
         faults = []
+        src = None
         if rule.step_class in ("dispatch", "norm"):
             if rule.dispatch_path is not None:
                 sub = _forced(replay, step.redex, rule.dispatch_path)
@@ -327,7 +340,7 @@ def validate_trace(system, result, trees=None):
                 faults.append(("wrong-result", "erased post-state is not "
                                "the source-step result"))
         if faults:
-            violations.extend(Violation(i, kind, detail)
+            violations.extend(Violation(i, kind, detail, rule, src)
                               for kind, detail in faults)
             image = None
     if result.outcome == "value":

@@ -19,37 +19,42 @@ from .runtime import Replay
 # ---- terms -------------------------------------------------------------------
 
 
-def _live(node):
-    node = resolve(node)
-    return node.label, node.children
-
-
-def format_node(node, view=_live):
+def format_node(node, resolve=resolve, erase=False):
     """Prefix rendering of a graph (shared nodes print repeatedly).
 
-    `view(node)` gives the (label, children) a node shows: by default those
-    of the live graph, or those of a traced run's state through a `Replay`.
+    `resolve` gives the node each node stands for: `core.resolve` in the live
+    graph (the default), `Replay.resolve` or `Replay.erased` in a traced run's
+    state or its erased state.  With `erase`, `f^H` prints as `f`.
     """
     parts = []
+    emit = parts.append
     stack = [node]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
+        item = pop()
+        if item.__class__ is str:
+            emit(item)
             continue
-        label, kids = view(item)
-        if isinstance(label, int):
-            parts.append(str(label))
+        item = resolve(item)
+        label = item.label
+        if label.__class__ is int:
+            emit(str(label))
             continue
+        if erase and label.base is not None:
+            label = label.base
+        kids = item.children
         if not kids:
-            parts.append(label.name)
+            emit(label.name)
             continue
-        parts.append(label.name + "(")
-        stack.append(")")
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append(kids[i])
-            if i > 0:
-                stack.append(", ")
+        emit(label.name + "(")
+        push(")")
+        i = len(kids) - 1
+        while i:
+            push(kids[i])
+            push(", ")
+            i -= 1
+        push(kids[0])
     return "".join(parts)
 
 
@@ -173,15 +178,16 @@ def trace_states(result):
 
     Every state is shown except the output of literal-normalization steps
     (`N(k) -> k`), which change nothing visible; the final state is always
-    shown.
+    shown.  Each state is rendered in one pass over the nodes it shows, with
+    one `Replay.resolve` per node.
     """
     assert result.trace is not None
     replay = Replay()
-    states = [format_node(result.start, replay.view)]
+    states = [format_node(result.start, replay.resolve)]
     for i, step in enumerate(result.trace, 1):
         replay.apply(step)
         if not step.rule.is_literal_norm or i == len(result.trace):
-            states.append(format_node(result.start, replay.view))
+            states.append(format_node(result.start, replay.resolve))
     return states
 
 
@@ -194,10 +200,10 @@ def erased_states(result):
     """
     assert result.trace is not None
     replay = Replay()
-    out = [format_node(result.start, replay.erased_view)]
+    out = [format_node(result.start, replay.erased, erase=True)]
     for step in result.trace:
         replay.apply(step)
-        text = format_node(result.start, replay.erased_view)
+        text = format_node(result.start, replay.erased, erase=True)
         if out[-1] != text:
             out.append(text)
     return out

@@ -169,18 +169,14 @@ class Replay:
 
     def erased(self, node):
         """The node `node` stands for once evaluation wrappers are spliced out."""
-        node = self.resolve(node)
-        while node.label.__class__ is Symbol and node.label.kind == CONTROL:
-            node = self.resolve(node.children[0])
-        return node
-
-    def view(self, node):
-        node = self.resolve(node)
-        return node.label, node.children
-
-    def erased_view(self, node):
-        node = self.erased(node)
-        return source_label(node.label), node.children
+        forward = self.forward
+        while True:
+            if node.nid in forward:
+                node = self.resolve(node)
+            label = node.label
+            if label is not H and label is not N:
+                return node
+            node = node.children[0]
 
 
 def source_label(label):

@@ -165,6 +165,10 @@ def test_validation_catches_a_swapped_rule(systems, programs):
     first = report.violations[0]
     assert first.step == a
     assert first.detail
+    # the violation names the object rule that fired and its source rule
+    assert first.rule is res.trace[a].rule
+    assert first.source is res.trace[a].rule.source
+    assert first.source is not None
 
 
 def test_validation_reports_rather_than_raises_on_moved_rules(systems,

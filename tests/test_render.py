@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from needle import evaluate, parse_expr
+from needle.core import Node
 from needle.deftree import build_all_deftrees
 from needle.render import (
     erased_states,
@@ -12,6 +13,9 @@ from needle.render import (
     format_trees,
     trace_states,
 )
+from needle.runtime import Replay, source_label
+
+from conftest import MODES, int_list
 
 APPEND_EXPR = "append(Cons(1, Nil), Cons(2, Nil))"
 
@@ -95,3 +99,63 @@ def test_erased_states_collapse_to_source_steps(systems, programs):
     assert erased[0] == APPEND_EXPR
     assert erased[-1] == "Cons(1, Cons(2, Nil))"
     assert len(erased) == res.proper_steps + 1
+
+
+# ---- differential rendering ----------------------------------------------------
+
+# One or two inputs per corpus system: fib(6)'s right sides share `n`, so a
+# shared node is printed twice, and snd(MkPair(loop, 0)) keeps a call that is
+# never evaluated; head(Nil) aborts.
+RENDER_INPUTS = [
+    ("append", "append(append(Cons(1, Nil), Nil), Cons(2, Cons(3, Nil)))"),
+    ("length", "length(append(Cons(4, Nil), Cons(5, Cons(6, Nil))))"),
+    ("fib", "fib(6)"),
+    ("head", "head(Cons(add(40, 2), Cons(0, Nil)))"),
+    ("head", "head(Nil)"),
+    ("loop", "snd(MkPair(loop, 0))"),
+    ("tree", "size(mirror(Fork(Tip(1), Fork(Tip(2), Leaf))))"),
+]
+
+
+def reference_text(node, resolve, relabel=lambda label: label):
+    """Recursive rendering, rebuilt from scratch for every state."""
+    node = resolve(node)
+    label = relabel(node.label)
+    if isinstance(label, int):
+        return str(label)
+    if not node.children:
+        return label.name
+    kids = ", ".join(reference_text(c, resolve, relabel)
+                     for c in node.children)
+    return f"{label.name}({kids})"
+
+
+def test_trace_rendering_matches_a_reference_renderer(systems, programs):
+    for name, text in RENDER_INPUTS:
+        for mode in MODES:
+            expr, _ = parse_expr(systems[name], text)
+            res = evaluate(programs(name, mode), expr, trace=True)
+            replay = Replay()
+            states = [reference_text(res.start, replay.resolve)]
+            erased = [reference_text(res.start, replay.erased, source_label)]
+            for i, step in enumerate(res.trace, 1):
+                replay.apply(step)
+                if not step.rule.is_literal_norm or i == len(res.trace):
+                    states.append(reference_text(res.start, replay.resolve))
+                state = reference_text(res.start, replay.erased, source_label)
+                if state != erased[-1]:
+                    erased.append(state)
+            assert trace_states(res) == states, (name, mode)
+            assert erased_states(res) == erased, (name, mode)
+
+
+def test_long_list_value_renders_as_text_built_without_needle(systems,
+                                                              programs):
+    system = systems["append"]
+    xs, ys = list(range(5000)), list(range(-5000, 0))
+    want = "".join(f"Cons({v}, " for v in xs + ys) + "Nil" + ")" * 10000
+    for mode in MODES:
+        expr = Node(system.symbols["append"],
+                    [int_list(system, xs), int_list(system, ys)])
+        res = evaluate(programs("append", mode), expr)
+        assert format_node(res.root) == want, mode

@@ -198,7 +198,7 @@ def test_trace_logs_one_contraction_per_step(systems, programs):
     first = res.trace[0]
     assert first.redex is res.start
     # an empty replay shows the contractum as the step built it
-    assert format_node(first.contractum, Replay().view) \
+    assert format_node(first.contractum, Replay().resolve) \
         == f"N(H({APPEND_EXPR}))"
     # each contractum is what its redex forwards to
     assert all(resolve(s.redex) is resolve(s.contractum) for s in res.trace)
