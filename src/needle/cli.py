@@ -22,13 +22,18 @@ from .render import (
     format_trace,
     format_trees,
 )
-from .runtime import evaluate
+from .runtime import evaluate, step_budget
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECTED = 2
 EXIT_ABORTED = 3
 EXIT_STEP_LIMIT = 4
+
+# The default budget of a traced run (`eval --trace`, `validate`), which keeps
+# every step: `needle validate` of a divergent input then stops in about 5 s
+# and 170 MB on a 2-core x86-64 VM, where 10^8 steps would fill memory.
+TRACED_MAX_STEPS = 250_000
 
 
 def _load_system(path):
@@ -93,8 +98,9 @@ def cmd_eval(args):
         return _finish_eval(result.outcome, result.steps,
                             format_node(result.root))
     program = build_program(system, args.mode)
-    result = evaluate(program, expr, max_steps=args.max_steps,
-                      trace=args.trace)
+    budget = step_budget(args.max_steps, TRACED_MAX_STEPS) if args.trace \
+        else args.max_steps
+    result = evaluate(program, expr, max_steps=budget, trace=args.trace)
     if args.trace:
         print(format_trace(result))
     return _finish_eval(result.outcome, result.steps,
@@ -129,10 +135,12 @@ def cmd_validate(args):
     system = _load_system(args.file)
     expr, _ = parse_expr(system, args.expr)
     program = build_program(system, args.mode)
-    result = evaluate(program, expr, max_steps=args.max_steps, trace=True)
-    report = validate_trace(system, result)
+    budget = step_budget(args.max_steps, TRACED_MAX_STEPS)
+    result = evaluate(program, expr, max_steps=budget, trace=True)
+    report = validate_trace(system, result, trees=program.trees)
     oracle_expr, _ = parse_expr(system, args.expr)
-    oracle = oracle_eval(system, oracle_expr, max_steps=args.max_steps)
+    oracle = oracle_eval(system, oracle_expr, max_steps=budget,
+                         trees=program.trees)
     problems = list(report.violations)
     if oracle.outcome != result.outcome:
         problems.append(f"outcome mismatch: {args.mode}={result.outcome} "

@@ -41,15 +41,16 @@ from .core import (
     RShare,
     RVar,
     Symbol,
+    acyclic,
+    fresh_names,
     pattern_at,
     pattern_subst,
     pattern_vars,
-    var_path,
+    var_paths,
 )
 from .deftree import (
     DTBranch,
     DTExempt,
-    DTIntBranch,
     DTRule,
     build_all_deftrees,
     demanded_args,
@@ -114,33 +115,25 @@ class ObjectProgram:
 
 # ---- helpers ----------------------------------------------------------------
 
-_FRESH_POOL = ("u", "v", "w", "z")
-
-
-def _fresh_names(count, taken):
-    names = []
-    pool = list(_FRESH_POOL)
-    suffix = 0
-    while len(names) < count:
-        for base in pool:
-            cand = base if suffix == 0 else f"{base}{suffix}"
-            if cand not in taken:
-                taken.add(cand)
-                names.append(cand)
-                if len(names) == count:
-                    break
-        suffix += 1
-    return names
-
 
 def _template_of_pattern(p):
-    if isinstance(p, PVar):
-        return RVar(p.name)
-    if isinstance(p, PAnyLit):
-        return RVar(p.name)
-    if isinstance(p, PLit):
-        return RLit(p.value)
-    return RApp(p.label, tuple(_template_of_pattern(a) for a in p.args))
+    """The template that rebuilds pattern `p` from its variables' nodes."""
+    out, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        cls = q.__class__
+        if cls is PApp:
+            stack.append(q.label)
+            stack += q.args[::-1]
+        elif cls is Symbol:  # an application whose arguments are done
+            kids = tuple(out[len(out) - q.arity:])
+            del out[len(out) - q.arity:]
+            out.append(RApp(q, kids))
+        elif cls is PLit:
+            out.append(RLit(q.value))
+        else:
+            out.append(RVar(q.name))
+    return out[0]
 
 
 def _h(template):
@@ -151,67 +144,53 @@ def _h(template):
 
 
 def compile_operation(system, op, tree, demanded, wrap):
-    """Object H-rules for `op`, in priority order."""
+    """Object H-rules for `op`, in priority order: a branch's subtrees' rules
+    come first, then its fallback (default or guard) and its dispatch rule."""
     root_names = ["x", "y", "z", "w"][: op.arity]
     if op.arity > 4:
         root_names += [f"x{i}" for i in range(5, op.arity + 1)]
-    pattern = PApp(op, tuple(
-        PVar(n, s) for n, s in zip(root_names, op.arg_sorts)))
     out = []
-    _walk_tree(system, op, tree, pattern, out, demanded, wrap)
-    return out
-
-
-def _walk_tree(system, op, tree, pattern, out, demanded, wrap):
-    if isinstance(tree, DTExempt):
-        out.append(ObjectRule(PApp(H, (pattern,)), None, "exempt", "h"))
-        return
-    if isinstance(tree, DTRule):
-        out.extend(_rule_leaf(system, tree, wrap, demanded))
-        return
-    if isinstance(tree, DTBranch):
-        taken = {v.name for v in pattern_vars(pattern)}
-        for ctor, sub in tree.children:
-            fresh = _fresh_names(ctor.arity, set(taken))
-            refined = pattern_subst(
-                pattern, tree.path,
-                PApp(ctor, tuple(PVar(n, s) for n, s in
-                                 zip(fresh, ctor.arg_sorts))))
-            _walk_tree(system, op, sub, refined, out, demanded, wrap)
-        out.append(_dispatch_rule(pattern, tree.path))
-        return
-    if isinstance(tree, DTIntBranch):
-        for value, sub in tree.children:
-            refined = pattern_subst(pattern, tree.path, PLit(value))
-            _walk_tree(system, op, sub, refined, out, demanded, wrap)
-        if tree.default is not None:
-            _walk_tree(system, op, tree.default, pattern, out, demanded, wrap)
+    stack = [(tree, PApp(op, tuple(map(PVar, root_names, op.arg_sorts))))]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is ObjectRule:
+            out.append(item)
+            continue
+        tree, pattern = item
+        if isinstance(tree, DTExempt):
+            out.append(ObjectRule(PApp(H, (pattern,)), None, "exempt", "h"))
+        elif isinstance(tree, DTRule):
+            out.extend(_rule_leaf(system, tree, wrap, demanded))
         else:
+            stack.append(_dispatch_rule(pattern, tree.path))
             taken = {v.name for v in pattern_vars(pattern)}
-            guard_name = _fresh_names(1, taken)[0]
-            guarded = pattern_subst(pattern, tree.path, PAnyLit(guard_name))
-            out.append(ObjectRule(PApp(H, (guarded,)), None, "exempt", "h"))
-        out.append(_dispatch_rule(pattern, tree.path))
-        return
-    raise AssertionError(f"unknown tree node {tree!r}")
+            if isinstance(tree, DTBranch):
+                subs = [(sub, pattern_subst(pattern, tree.path, PApp(
+                    ctor, tuple(map(PVar, fresh_names(ctor.arity, set(taken)),
+                                    ctor.arg_sorts)))))
+                        for ctor, sub in tree.children]
+            else:
+                if tree.default is not None:
+                    stack.append((tree.default, pattern))
+                else:
+                    guarded = pattern_subst(pattern, tree.path, PAnyLit(
+                        fresh_names(1, taken)[0]))
+                    stack.append(ObjectRule(PApp(H, (guarded,)), None,
+                                            "exempt", "h"))
+                subs = [(sub, pattern_subst(pattern, tree.path, PLit(value)))
+                        for value, sub in tree.children]
+            stack.extend(reversed(subs))
+    return out
 
 
 def _dispatch_rule(pattern, path):
     """H(pi) = H(pi[H(x)/p]): head-normalize the demanded argument first."""
     branch_var = pattern_at(pattern, path)
-    template = _template_of_pattern(pattern)
-    wrapped = _tsubst(template, path, _h(RVar(branch_var.name)))
+    wrapped = pattern_subst(_template_of_pattern(pattern), path,
+                            _h(RVar(branch_var.name)))
     var_sorts = {v.name: v.sort for v in pattern_vars(pattern)}
     return ObjectRule(PApp(H, (pattern,)), _h(wrapped), "dispatch", "h",
                       var_sorts=var_sorts, dispatch_path=(0,) + tuple(path))
-
-
-def _tsubst(template, path, repl):
-    if not path:
-        return repl
-    kids = list(template.children)
-    kids[path[0]] = _tsubst(kids[path[0]], path[1:], repl)
-    return RApp(template.label, tuple(kids))
 
 
 def _rule_leaf(system, leaf, wrap, demanded):
@@ -224,7 +203,7 @@ def _rule_leaf(system, leaf, wrap, demanded):
     rhs = rule.rhs
 
     if isinstance(rhs, RVar):
-        return _collapse_rules(system, rule, leaf, lhs_inner, rhs.name)
+        return _collapse_rules(system, rule, lhs_inner, rhs.name)
     if isinstance(rhs, RLit) or (isinstance(rhs, RApp)
                                  and rhs.label.kind == CONSTRUCTOR):
         return [ObjectRule(lhs, rhs, "ctor-rooted", "h", source=rule,
@@ -235,18 +214,13 @@ def _rule_leaf(system, leaf, wrap, demanded):
                        var_sorts=dict(rule.var_sorts))]
 
 
-def _collapse_rules(system, rule, leaf, lhs_inner, var_name):
+def _collapse_rules(system, rule, lhs_inner, var_name):
     """Expand a collapsing rule (rhs is a variable) per possible root."""
-    pos = var_path(lhs_inner, var_name)
+    pos = var_paths(lhs_inner)[var_name]
     lhs = PApp(H, (lhs_inner,))
-    share = RShare((0,) + tuple(pos))
+    share = RShare((0,) + pos)
     sort = rule.var_sorts[var_name]
     out = []
-    if isinstance(pattern_at(lhs_inner, pos), PAnyLit):
-        # The variable is already literal-guarded: the matched node is a
-        # literal, and the single guard rule is complete.
-        return [ObjectRule(lhs, share, "collapse-instance", "h", source=rule,
-                           var_sorts=dict(rule.var_sorts))]
     if sort == INT_SORT:
         guarded = pattern_subst(lhs_inner, pos, PAnyLit(var_name))
         out.append(ObjectRule(PApp(H, (guarded,)), share, "collapse-instance",
@@ -255,7 +229,7 @@ def _collapse_rules(system, rule, leaf, lhs_inner, var_name):
     else:
         taken = {v.name for v in pattern_vars(lhs_inner)}
         for ctor in system.sorts[sort]:
-            fresh = _fresh_names(ctor.arity, set(taken))
+            fresh = fresh_names(ctor.arity, set(taken))
             inst = pattern_subst(
                 lhs_inner, pos,
                 PApp(ctor, tuple(PVar(n, s) for n, s in
@@ -271,14 +245,20 @@ def _collapse_rules(system, rule, leaf, lhs_inner, var_name):
 
 def _wrap_needed(template, demanded):
     """Head-normalize operation-rooted subterms at demanded positions."""
-    if not isinstance(template, RApp) or not template.label.is_op:
-        return template
-    kids = list(template.children)
-    for i in sorted(demanded[template.label]):
-        child = kids[i]
-        if isinstance(child, RApp) and child.label.is_op:
-            kids[i] = _h(_wrap_needed(child, demanded))
-    return RApp(template.label, tuple(kids))
+    calls, stack = [], [template]  # the calls to rebuild, parents first
+    while stack:
+        t = stack.pop()
+        if isinstance(t, RApp) and t.label.is_op:
+            calls.append(t)
+            stack.extend(t.children[i] for i in demanded[t.label])
+    rebuilt = {}  # id of a call -> the call with its demanded calls wrapped
+    for t in reversed(calls):
+        kids = list(t.children)
+        for i in demanded[t.label]:
+            if id(kids[i]) in rebuilt:
+                kids[i] = _h(rebuilt[id(kids[i])])
+        rebuilt[id(t)] = RApp(t.label, tuple(kids))
+    return rebuilt.get(id(template), template)
 
 
 # ---- builtin and normalization rules -----------------------------------------
@@ -308,7 +288,7 @@ def norm_rules(system):
     out = []
     for sort, ctors in system.sorts.items():
         for ctor in ctors:
-            fresh = _fresh_names(ctor.arity, set())
+            fresh = fresh_names(ctor.arity, set())
             pvars = tuple(PVar(n, s) for n, s in zip(fresh, ctor.arg_sorts))
             rhs = RApp(ctor, tuple(RApp(N, (RVar(n),)) for n in fresh))
             out.append(ObjectRule(PApp(N, (PApp(ctor, pvars),)), rhs,
@@ -316,7 +296,7 @@ def norm_rules(system):
                                   var_sorts=dict(zip(fresh, ctor.arg_sorts))))
     for f in system.all_operations:
         section = "builtin" if f.kind == BUILTIN else "n"
-        fresh = _fresh_names(f.arity, set())
+        fresh = fresh_names(f.arity, set())
         pvars = tuple(PVar(n, s) for n, s in zip(fresh, f.arg_sorts))
         rhs = RApp(N, (_h(RApp(f, tuple(RVar(n) for n in fresh))),))
         out.append(ObjectRule(PApp(N, (PApp(f, pvars),)), rhs, "norm-op",
@@ -331,34 +311,24 @@ def norm_rules(system):
 # ---- the two transformation phases -------------------------------------------
 
 
-def _h_var_name(template):
-    """Name of the variable under an H(x) application, if any."""
-    stack = [template]
-    found = []
+def _h_var(template):
+    """Path and variable name of the H(x) application in a template, if any."""
+    found, path = [], []
+    stack = [(template, 0, None)]
     while stack:
-        t = stack.pop()
+        t, depth, i = stack.pop()
+        del path[depth:]
+        if i is not None:
+            path.append(i)
         if isinstance(t, RApp):
             if t.label is H and len(t.children) == 1 \
                     and isinstance(t.children[0], RVar):
-                found.append(t.children[0].name)
+                found.append((tuple(path), t.children[0].name))
             else:
-                stack.extend(t.children)
-    if not found:
-        return None
-    assert len(found) == 1, "at most one H(var) per compiled rule"
-    return found[0]
-
-
-def _replace_h_var(template, name, share):
-    if isinstance(template, RApp):
-        if (template.label is H and len(template.children) == 1
-                and isinstance(template.children[0], RVar)
-                and template.children[0].name == name):
-            return RApp(H, (share,))
-        return RApp(template.label,
-                    tuple(_replace_h_var(c, name, share)
-                          for c in template.children))
-    return template
+                depth = len(path)
+                stack.extend((c, depth, j) for j, c in enumerate(t.children))
+    assert len(found) <= 1, "at most one H(var) per compiled rule"
+    return found[0] if found else None
 
 
 def phase1(system, rules):
@@ -376,16 +346,17 @@ def phase1(system, rules):
         if rule.rhs is None:
             out.append(rule)
             continue
-        name = _h_var_name(rule.rhs)
-        if name is None:
+        found = _h_var(rule.rhs)
+        if found is None:
             out.append(rule)
             continue
-        xpath = var_path(rule.lhs, name)
+        hpath, name = found
+        xpath = var_paths(rule.lhs)[name]
         sort = rule.var_sorts[name]
-        shared_rhs = _replace_h_var(rule.rhs, name, RShare(xpath))
+        shared_rhs = pattern_subst(rule.rhs, hpath + (0,), RShare(xpath))
         for g in system.ops_returning(sort):
             taken = {v.name for v in pattern_vars(rule.lhs)}
-            fresh = _fresh_names(g.arity, taken)
+            fresh = fresh_names(g.arity, taken)
             inst_lhs = pattern_subst(
                 rule.lhs, xpath,
                 PApp(g, tuple(PVar(n, s) for n, s in
@@ -406,36 +377,38 @@ def _specialize_map(system):
 
 
 def _specialize_template(template, lhs, specialized):
-    """Collapse H(f(...)) into f^H(...) throughout a template."""
-    if not isinstance(template, RApp):
-        return template
-    if template.label is H:
-        inner = template.children[0]
-        if isinstance(inner, RApp) and inner.label.is_op:
-            return RApp(specialized[inner.label],
-                        tuple(_specialize_template(c, lhs, specialized)
-                              for c in inner.children))
-        if isinstance(inner, RShare):
-            target = pattern_at(lhs, inner.path)
-            assert isinstance(target, PApp) and target.label.is_op
-            kids = tuple(RShare(inner.path + (i,))
-                         for i in range(len(target.args)))
-            return RApp(specialized[target.label], kids)
-        raise AssertionError(f"phase 2 found H over {inner!r}")
-    return RApp(template.label,
-                tuple(_specialize_template(c, lhs, specialized)
-                      for c in template.children))
-
-
-def _shift_shares(template):
-    """Adjust RShare paths after the lhs loses its H wrapper."""
-    if isinstance(template, RShare):
-        assert template.path and template.path[0] == 0
-        return RShare(template.path[1:])
-    if isinstance(template, RApp):
-        return RApp(template.label,
-                    tuple(_shift_shares(c) for c in template.children))
-    return template
+    """Collapse H(f(...)) into f^H(...) throughout a template, and drop the
+    leading 0 of every RShare path if the H-rooted `lhs` loses its wrapper."""
+    shift = 1 if lhs.label is H else 0
+    out, stack = [], [template]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is RApp:
+            if t.label is H:
+                inner = t.children[0]
+                if isinstance(inner, RApp) and inner.label.is_op:
+                    t = RApp(specialized[inner.label], inner.children)
+                elif isinstance(inner, RShare):
+                    target = pattern_at(lhs, inner.path)
+                    assert isinstance(target, PApp) and target.label.is_op
+                    t = RApp(specialized[target.label],
+                             tuple(RShare(inner.path + (i,))
+                                   for i in range(len(target.args))))
+                else:
+                    raise AssertionError(f"phase 2 found H over {inner!r}")
+            stack.append(t.label)
+            stack += t.children[::-1]
+        elif cls is Symbol:  # an application whose children are done
+            kids = tuple(out[len(out) - t.arity:])
+            del out[len(out) - t.arity:]
+            out.append(RApp(t, kids))
+        elif cls is RShare and shift:
+            assert t.path and t.path[0] == 0
+            out.append(RShare(t.path[1:]))
+        else:
+            out.append(t)
+    return out[0]
 
 
 def phase2(rules, specialized):
@@ -450,8 +423,6 @@ def phase2(rules, specialized):
             inner = rule.lhs.args[0]
             assert isinstance(inner, PApp) and inner.label.is_op
             lhs = PApp(specialized[inner.label], inner.args)
-            if rhs is not None:
-                rhs = _shift_shares(rhs)
             path = rule.dispatch_path
             if path is not None:
                 assert path[0] == 0
@@ -486,13 +457,14 @@ def _count_allocs(template):
     """Fresh data nodes (signature symbols and literals) a rule allocates.
     Evaluation wrappers and specialized symbols are control bookkeeping and
     are not counted; shared (reused) nodes allocate nothing."""
-    if template is None or isinstance(template, (RVar, RShare)):
-        return 0
-    if isinstance(template, RLit):
-        return 1
-    total = sum(_count_allocs(c) for c in template.children)
-    if template.label.is_data:
-        total += 1
+    total, stack = 0, [template]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is RLit:
+            total += 1
+        elif t.__class__ is RApp:
+            total += t.label.is_data
+            stack.extend(t.children)
     return total
 
 
@@ -508,6 +480,7 @@ def _assert_no_h(rules):
                 stack.extend(t.children)
 
 
+@acyclic
 def build_program(system, mode):
     assert mode in ("cr", "tr", "or"), mode
     trees = build_all_deftrees(system)

@@ -177,47 +177,51 @@ def pattern_at(p, path):
 
 
 def pattern_subst(p, path, repl):
-    """Return `p` with the subpattern at `path` replaced by `repl`."""
-    if not path:
-        return repl
-    i = path[0]
-    args = list(p.args)
-    args[i] = pattern_subst(args[i], path[1:], repl)
-    return PApp(p.label, tuple(args))
+    """Pattern or template `p` with the subterm at `path` set to `repl`."""
+    spine = []
+    for i in path:
+        spine.append((p, i))
+        p = p.args[i] if p.__class__ is PApp else p.children[i]
+    for q, i in reversed(spine):
+        kids = q.args if q.__class__ is PApp else q.children
+        repl = q.__class__(q.label, kids[:i] + (repl,) + kids[i + 1:])
+    return repl
 
 
-def var_path(p, name):
-    """Path of the (unique, by left-linearity) occurrence of variable `name`."""
-    stack = [(p, ())]
+def var_paths(p):
+    """Path of each `PVar` in a pattern, by name, in pre-order (leftmost-
+    outermost first).  One path list is kept, so deep patterns cost no
+    quadratic copying."""
+    paths, path = {}, []  # `path` leads to the subpattern just popped
+    stack = [(a, 0, i) for i, a in enumerate(p.args)][::-1]
     while stack:
-        q, path = stack.pop()
-        if isinstance(q, PVar) and q.name == name:
-            return path
-        if isinstance(q, PApp):
-            for i, a in enumerate(q.args):
-                stack.append((a, path + (i,)))
-    raise KeyError(name)
+        q, depth, i = stack.pop()
+        del path[depth:]
+        path.append(i)
+        if isinstance(q, PVar):
+            paths[q.name] = tuple(path)
+        elif isinstance(q, PApp):
+            stack += [(a, depth + 1, j) for j, a in enumerate(q.args)][::-1]
+    return paths
 
 
-def patterns_variant(p, q):
-    """True if two patterns are equal up to a bijective renaming of variables."""
-    fwd, bwd = {}, {}
-    stack = [(p, q)]
-    while stack:
-        a, b = stack.pop()
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, PApp):
-            if a.label is not b.label or len(a.args) != len(b.args):
-                return False
-            stack.extend(zip(a.args, b.args))
-        elif isinstance(a, PLit):
-            if a.value != b.value:
-                return False
-        elif (fwd.setdefault(a.name, b.name) != b.name
-              or bwd.setdefault(b.name, a.name) != a.name):
-            return False  # a PVar or PAnyLit renamed inconsistently
-    return True
+_FRESH_POOL = ("u", "v", "w", "z")
+
+
+def fresh_names(count, taken):
+    """`count` variable names not in `taken`, which they are added to."""
+    names = []
+    suffix = 0
+    while len(names) < count:
+        for base in _FRESH_POOL:
+            cand = base if suffix == 0 else f"{base}{suffix}"
+            if cand not in taken:
+                taken.add(cand)
+                names.append(cand)
+                if len(names) == count:
+                    break
+        suffix += 1
+    return names
 
 
 # ---- right-hand-side templates ----------------------------------------------

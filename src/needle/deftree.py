@@ -24,10 +24,10 @@ from .core import (
     PApp,
     PLit,
     PVar,
+    fresh_names,
     pattern_at,
     pattern_subst,
-    pattern_vars,
-    patterns_variant,
+    var_paths,
 )
 
 
@@ -74,75 +74,60 @@ class DTIntBranch:
 # ---- construction -----------------------------------------------------------
 
 
-def _fresh_vars(prefix, count, sort_list, taken):
-    names = []
-    i = 0
-    while len(names) < count:
-        i += 1
-        cand = f"{prefix}{i}"
-        if cand not in taken:
-            taken.add(cand)
-            names.append(cand)
-    return [PVar(n, s) for n, s in zip(names, sort_list)]
-
-
-def _var_positions(pattern):
-    """Pre-order (leftmost-outermost) variable positions of a pattern."""
-    out = []
-    stack = [(pattern, ())]
-    while stack:
-        p, path = stack.pop()
-        if isinstance(p, PVar):
-            out.append(path)
-        elif isinstance(p, PApp):
-            for i in reversed(range(len(p.args))):
-                stack.append((p.args[i], path + (i,)))
-    # stack discipline above yields pre-order already
-    return out
-
-
 def build_deftree(system, op):
-    """Build the definitional tree for `op`, or raise a DefTreeError."""
+    """Build the definitional tree for `op`, or raise a DefTreeError.
+
+    Subtrees are built depth first, left to right, so the first defect found
+    is the one a recursive descent would meet.  Each entry on the stack names
+    the node and the child index (None: the default) its subtree fills."""
     rules = system.rules.get(op, [])
-    taken = {v.name for r in rules for v in pattern_vars(r.lhs)}
-    root_vars = _fresh_vars("x", op.arity, op.arg_sorts, set(taken))
-    pattern = PApp(op, tuple(root_vars))
     if not rules:
         return DTExempt()
-    return _build(system, op, pattern, list(rules), guards=())
+    top = DTIntBranch((), [])  # stands in as the root's parent
+    root = tuple(map(PVar, fresh_names(op.arity, set()), op.arg_sorts))
+    todo = [(top, None, PApp(op, root), list(rules), ())]
+    while todo:
+        parent, index, pattern, rules, guards = todo.pop()
+        tree, subtasks = _split(system, op, pattern, rules, guards)
+        if index is None:
+            parent.default = tree
+        else:
+            parent.children[index] = (parent.children[index][0], tree)
+        todo.extend((tree, *task) for task in reversed(subtasks))
+    return top.default
 
 
-def _build(system, op, pattern, rules, guards):
-    variants = [r for r in rules if patterns_variant(r.lhs, pattern)]
+def _split(system, op, pattern, rules, guards):
+    """The tree node for `rules` refining `pattern`, and its subtrees to
+    build as (child index, pattern, rules, guards)."""
+    paths = var_paths(pattern)
+    # Every rule is an instance of `pattern`, so a rule that has a variable
+    # in each column (one per variable of the pattern) is a variant of it.
+    columns = [(path, [pattern_at(r.lhs, path) for r in rules])
+               for path in paths.values()]
+    variants = [r for k, r in enumerate(rules)
+                if all(isinstance(subs[k], PVar) for _, subs in columns)]
     if len(variants) > 1:
         raise DuplicateRule(
             f"operation {op.name!r}: rules {variants[0].index + 1} and "
             f"{variants[1].index + 1} have the same left side")
     if len(variants) == 1 and len(rules) == 1:
-        return DTRule(variants[0], guards)
-
-    positions = _var_positions(pattern)
-
-    def at(rule, path):
-        return pattern_at(rule.lhs, path)
+        return DTRule(variants[0], guards), ()
 
     # Strict inductive position: every rule has a constructor or literal.
-    for path in positions:
-        subs = [at(r, path) for r in rules]
+    for path, subs in columns:
         if all(isinstance(s, PApp) for s in subs):
-            return _ctor_branch(system, op, pattern, rules, path, guards)
+            return _ctor_branch(system, op, pattern, set(paths), rules, path,
+                                subs, guards)
         if all(isinstance(s, PLit) for s in subs):
-            return _int_branch(system, op, pattern, rules, path, guards,
-                               with_default=False)
+            return _int_branch(pattern, rules, path, subs, guards, False)
     # Relaxed integer position: literals plus at least one variable rule.
     # A rule whose left side is a variant of the pattern is legal here: it
     # becomes the branch default, applicable only when no literal matches.
-    for path in positions:
-        subs = [at(r, path) for r in rules]
+    for path, subs in columns:
         if (any(isinstance(s, PLit) for s in subs)
                 and all(isinstance(s, (PLit, PVar)) for s in subs)):
-            return _int_branch(system, op, pattern, rules, path, guards,
-                               with_default=True)
+            return _int_branch(pattern, rules, path, subs, guards, True)
     if variants:
         others = [r for r in rules if r is not variants[0]]
         first, second = sorted([variants[0].index, others[0].index])
@@ -154,49 +139,39 @@ def _build(system, op, pattern, rules, guards):
         f"rules {sorted(r.index + 1 for r in rules)}")
 
 
-def _ctor_branch(system, op, pattern, rules, path, guards):
+def _ctor_branch(system, op, pattern, taken, rules, path, subs, guards):
     sort = pattern_at(pattern, path).sort
     if sort == INT_SORT:
         raise NotInductivelySequential(
             f"operation {op.name!r}: constructor pattern at an Int position")
-    children = []
-    taken = {v.name for v in pattern_vars(pattern)}
-    for r in rules:
-        taken.update(v.name for v in pattern_vars(r.lhs))
+    children, subtasks = [], []
     for ctor in system.sorts[sort]:
-        sub_rules = [r for r in rules
-                     if isinstance(pattern_at(r.lhs, path), PApp)
-                     and pattern_at(r.lhs, path).label is ctor]
-        if not sub_rules:
-            children.append((ctor, DTExempt()))
-            continue
-        fresh = _fresh_vars("v", ctor.arity, ctor.arg_sorts, set(taken))
-        refined = pattern_subst(pattern, path, PApp(ctor, tuple(fresh)))
-        children.append((ctor, _build(system, op, refined, sub_rules, guards)))
-    return DTBranch(path, sort, children)
+        sub_rules = [r for r, sub in zip(rules, subs) if sub.label is ctor]
+        if sub_rules:
+            fresh = fresh_names(ctor.arity, set(taken))
+            arg = PApp(ctor, tuple(map(PVar, fresh, ctor.arg_sorts)))
+            subtasks.append((len(children), pattern_subst(pattern, path, arg),
+                             sub_rules, guards))
+        children.append((ctor, DTExempt()))
+    return DTBranch(path, sort, children), subtasks
 
 
-def _int_branch(system, op, pattern, rules, path, guards, with_default):
+def _int_branch(pattern, rules, path, subs, guards, with_default):
     lits = []
-    for r in rules:
-        sub = pattern_at(r.lhs, path)
+    for sub in subs:
         if isinstance(sub, PLit) and sub.value not in lits:
             lits.append(sub.value)
-    children = []
-    for value in lits:
-        sub_rules = [r for r in rules
-                     if isinstance(pattern_at(r.lhs, path), PLit)
-                     and pattern_at(r.lhs, path).value == value]
-        refined = pattern_subst(pattern, path, PLit(value))
-        children.append((value, _build(system, op, refined, sub_rules, guards)))
-    default = None
+    subtasks = []
+    for i, value in enumerate(lits):
+        sub_rules = [r for r, sub in zip(rules, subs)
+                     if isinstance(sub, PLit) and sub.value == value]
+        subtasks.append((i, pattern_subst(pattern, path, PLit(value)),
+                         sub_rules, guards))
     if with_default:
-        var_rules = [r for r in rules
-                     if isinstance(pattern_at(r.lhs, path), PVar)]
+        var_rules = [r for r, sub in zip(rules, subs) if isinstance(sub, PVar)]
         if var_rules:
-            default = _build(system, op, pattern, var_rules,
-                             guards + (path,))
-    return DTIntBranch(path, children, default)
+            subtasks.append((None, pattern, var_rules, guards + (path,)))
+    return DTIntBranch(path, [(value, None) for value in lits]), subtasks
 
 
 def build_all_deftrees(system):
@@ -210,18 +185,15 @@ def demanded_args(op, tree):
     """Top-level argument indices inspected on every path through the tree."""
     if op.kind == BUILTIN:
         return set(range(op.arity))
-
-    def walk(t):
+    common = None  # inspected on every path so far
+    stack = [(tree, frozenset())]
+    while stack:
+        t, inspected = stack.pop()
         if isinstance(t, (DTRule, DTExempt)):
-            return set()
-        subtrees = [c for _, c in t.children]
+            common = inspected if common is None else common & inspected
+            continue
+        inspected = inspected | {t.path[0]}
+        stack += [(c, inspected) for _, c in t.children]
         if isinstance(t, DTIntBranch) and t.default is not None:
-            subtrees.append(t.default)
-        common = None
-        for s in subtrees:
-            d = walk(s)
-            common = d if common is None else (common & d)
-        common = common or set()
-        return {t.path[0]} | common
-
-    return walk(tree)
+            stack.append((t.default, inspected))
+    return set(common)

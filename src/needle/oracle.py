@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (BUILTIN, Node, PLit, PVar, RLit, RVar, Symbol, acyclic,
-                   child_at, int_op, resolve)
+from .core import (BUILTIN, Node, PApp, PVar, RApp, RLit, RVar, Symbol,
+                   acyclic, child_at, int_op, resolve)
 from .deftree import DTBranch, DTExempt, DTRule, build_all_deftrees
 from .runtime import Replay, source_label, step_budget
 
@@ -127,33 +127,43 @@ def _demand(trees, node):
         cur = nxt
 
 
-def _match_source(pattern, node, bindings):
-    node = resolve(node)
-    if isinstance(pattern, PVar):
-        bindings[pattern.name] = node
-        return True
-    if isinstance(pattern, PLit):
-        return node.label == pattern.value and isinstance(node.label, int)
-    if node.label is not pattern.label:
-        return False
-    return all(_match_source(p, c, bindings)
-               for p, c in zip(pattern.args, node.children))
-
-
-def _instantiate_source(template, bindings):
-    if isinstance(template, RVar):
-        return bindings[template.name]
-    if isinstance(template, RLit):
-        return Node(template.value)
-    kids = [_instantiate_source(c, bindings) for c in template.children]
-    return Node(template.label, kids)
-
-
 def apply_source_rule(rule, node):
+    """The contractum of source rule `rule` at `node`, which it matches."""
     bindings = {}
-    matched = _match_source(rule.lhs, node, bindings)
-    assert matched, "descent selected a rule that does not match"
-    return _instantiate_source(rule.rhs, bindings)
+    stack = [(rule.lhs, node)]
+    while stack:
+        p, n = stack.pop()
+        if n.forward is not None:
+            n = resolve(n)
+        cls = p.__class__
+        if cls is PVar:
+            bindings[p.name] = n
+            continue
+        assert n.label is p.label if cls is PApp else n.label == p.value, \
+            "descent selected a rule that does not match"
+        if cls is PApp:
+            stack.extend(zip(p.args, n.children))
+    # Build the right side bottom-up: an application's symbol is pushed below
+    # its arguments, and once they are built it takes its arity off `out`.
+    out, stack = [], [rule.rhs]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is RApp:
+            if t.children:
+                stack.append(t.label)
+                stack += t.children[::-1]
+            else:
+                out.append(Node(t.label))
+        elif cls is RVar:
+            out.append(bindings[t.name])
+        elif cls is RLit:
+            out.append(Node(t.value))
+        else:  # the symbol of an application whose arguments are built
+            kids = out[-t.arity:]
+            del out[-t.arity:]
+            out.append(Node(t, kids))
+    return out[0]
 
 
 def _contract(found):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .core import (
     PAnyLit,
+    PApp,
     PLit,
     PVar,
     RLit,
@@ -13,7 +14,7 @@ from .core import (
     pattern_vars,
     resolve,
 )
-from .deftree import DTBranch, DTExempt, DTIntBranch, DTRule
+from .deftree import DTBranch, DTExempt, DTRule
 from .runtime import Replay
 
 # ---- terms -------------------------------------------------------------------
@@ -61,38 +62,47 @@ def format_node(node, resolve=resolve, erase=False):
 # ---- patterns, templates, rules ------------------------------------------------
 
 
-def format_pattern(p):
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PLit):
-        return str(p.value)
-    if isinstance(p, PAnyLit):
-        return f"#{p.name}"
-    if not p.args:
-        return p.label.name
-    return f"{p.label.name}({', '.join(format_pattern(a) for a in p.args)})"
-
-
-def format_template(t, lhs):
-    literal_vars = {v.name for v in pattern_vars(lhs)
-                    if isinstance(v, PAnyLit)}
-
-    def fmt(t):
-        if isinstance(t, RVar):
-            return f"#{t.name}" if t.name in literal_vars else t.name
-        if isinstance(t, RLit):
-            return str(t.value)
-        if isinstance(t, RShare):
-            return format_pattern(pattern_at(lhs, t.path))
-        if not t.children:
-            return t.label.name
-        return f"{t.label.name}({', '.join(fmt(c) for c in t.children)})"
-
-    return fmt(t)
+def format_template(t, lhs=None):
+    """Text of a pattern, or of a template over the left side `lhs`: a
+    shared position prints as the pattern there, and a variable bound to a
+    literal as `#name`."""
+    literals = () if lhs is None else {
+        v.name for v in pattern_vars(lhs) if v.__class__ is PAnyLit}
+    parts = []
+    emit = parts.append
+    stack = [t]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        t = pop()
+        cls = t.__class__
+        if cls is str:
+            emit(t)
+        elif cls is PLit or cls is RLit:
+            emit(str(t.value))
+        elif cls is RShare:
+            push(pattern_at(lhs, t.path))
+        elif cls is PVar or cls is RVar or cls is PAnyLit:
+            literal = cls is PAnyLit or t.name in literals
+            emit("#" + t.name if literal else t.name)
+        else:
+            kids = t.args if cls is PApp else t.children
+            if not kids:
+                emit(t.label.name)
+                continue
+            emit(t.label.name + "(")
+            push(")")
+            i = len(kids) - 1
+            while i:
+                push(kids[i])
+                push(", ")
+                i -= 1
+            push(kids[0])
+    return "".join(parts)
 
 
 def format_rule(rule):
-    lhs = format_pattern(rule.lhs)
+    lhs = format_template(rule.lhs)
     if rule.exempt:
         rhs = "abort"
     elif rule.builtin_op is not None:
@@ -132,31 +142,31 @@ def _path_str(path):
     return ".".join(str(i + 1) for i in path)
 
 
-def format_tree(op, tree, indent=0):
-    pad = "  " * indent
-    if isinstance(tree, DTRule):
-        rule = tree.rule
-        text = (f"{format_pattern(rule.lhs)} = "
-                f"{format_template(rule.rhs, rule.lhs)}")
-        return [f"{pad}rule {text}"]
-    if isinstance(tree, DTExempt):
-        return [f"{pad}exempt"]
-    if isinstance(tree, DTBranch):
-        lines = [f"{pad}branch @{_path_str(tree.path)} ({tree.sort})"]
-        for ctor, sub in tree.children:
-            lines.append(f"{pad}  {ctor.name}:")
-            lines.extend(format_tree(op, sub, indent + 2))
-        return lines
-    if isinstance(tree, DTIntBranch):
-        lines = [f"{pad}branch @{_path_str(tree.path)} (Int)"]
-        for value, sub in tree.children:
-            lines.append(f"{pad}  {value}:")
-            lines.extend(format_tree(op, sub, indent + 2))
-        if tree.default is not None:
-            lines.append(f"{pad}  default:")
-            lines.extend(format_tree(op, tree.default, indent + 2))
-        return lines
-    raise AssertionError(tree)
+def format_tree(tree, indent=0):
+    lines, stack = [], [(tree, indent)]
+    while stack:
+        tree, indent = stack.pop()
+        pad = "  " * indent
+        if tree.__class__ is str:
+            lines.append(pad + tree)
+        elif isinstance(tree, DTRule):
+            rule = tree.rule
+            lines.append(f"{pad}rule {format_template(rule.lhs)} = "
+                         f"{format_template(rule.rhs, rule.lhs)}")
+        elif isinstance(tree, DTExempt):
+            lines.append(f"{pad}exempt")
+        else:
+            if isinstance(tree, DTBranch):
+                sort, cases = tree.sort, [(c.name, sub)
+                                          for c, sub in tree.children]
+            else:
+                sort, cases = "Int", list(tree.children)
+                if tree.default is not None:
+                    cases.append(("default", tree.default))
+            lines.append(f"{pad}branch @{_path_str(tree.path)} ({sort})")
+            for key, sub in reversed(cases):
+                stack += [(sub, indent + 2), (f"{key}:", indent + 1)]
+    return lines
 
 
 def format_trees(system, trees, only=None):
@@ -165,7 +175,7 @@ def format_trees(system, trees, only=None):
         if only is not None and op.name != only:
             continue
         lines.append(f"op {op.name}")
-        lines.extend(format_tree(op, trees[op], indent=1))
+        lines.extend(format_tree(trees[op], indent=1))
         lines.append("")
     return "\n".join(lines)
 

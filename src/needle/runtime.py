@@ -14,7 +14,10 @@ recursion) and runs with CPython's cyclic garbage collector paused
 The first evaluation of a program compiles its rules into slot code, one
 group per redex shape, that later evaluations reuse.  A selection fills one
 list of slots, one per left-side position in the group; match instructions
-and right-side builder closures read the nodes from their slots.
+and right-side builder closures read the nodes from their slots.  A builder
+calls its subtrees' builders, one frame per level, but an application at a
+depth that is a multiple of `MAX_NESTING` is built first, into a slot of its
+own, so right sides of any depth build within the default recursion limit.
 
 Counters
 --------
@@ -61,6 +64,10 @@ from .core import (
 
 DEFAULT_MAX_STEPS = 10**8
 
+# Object right sides of the corpus and of generated systems nest at most 5
+# deep, so only far deeper ones pay for building ahead (see above).
+MAX_NESTING = 50
+
 _EVALUABLE_KINDS = (CONTROL, SPECIALIZED)
 
 # Match instruction opcodes.
@@ -68,15 +75,15 @@ _APP, _VAR, _LIT, _ANYLIT = 0, 1, 2, 3
 _NO_RULES = (2, ())  # the group of a redex shape no rule fires on
 
 
-def step_budget(max_steps=None):
-    """The step budget: `max_steps`, else $NEEDLE_MAX_STEPS, else the default.
+def step_budget(max_steps=None, default=DEFAULT_MAX_STEPS):
+    """The step budget: `max_steps`, else $NEEDLE_MAX_STEPS, else `default`.
 
     Raises NeedleError unless the budget is a non-negative integer.
     """
     if max_steps is None:
         text = os.environ.get("NEEDLE_MAX_STEPS")
         if not text:
-            return DEFAULT_MAX_STEPS
+            return default
         try:
             max_steps = int(text)
         except ValueError:
@@ -258,37 +265,57 @@ def _builder(rule, var_slot, slot_of):
         return (lambda s: Node(int_op(name, s[a].label, s[b].label))), 1
     if rule.rhs is None:
         return None, 0
-    build, created = _compile_template(rule.rhs, var_slot, slot_of)
-    return (itemgetter(build) if build.__class__ is int else build), created
+    # Post-order: an application's symbol is pushed below its children, and
+    # `level` counts those opened and not yet built: the depth of the next.
+    out, stages, created, level = [], [], 0, 0
+    stack = [rule.rhs]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is RApp:
+            created += 1
+            level += 1
+            stack.append(t.label)
+            stack += t.children[::-1]
+        elif cls is RVar:
+            out.append(itemgetter(var_slot[t.name]))
+        elif cls is RShare:
+            slot = 0
+            for i in t.path:
+                slot = slot_of[(slot, i)]
+            out.append(itemgetter(slot))
+        elif cls is RLit:
+            created += 1
+            out.append(lambda s, value=t.value: Node(value))
+        else:
+            level -= 1
+            kids = out[len(out) - t.arity:]
+            del out[len(out) - t.arity:]
+            build = _application(t, kids)
+            if level and level % MAX_NESTING == 0:  # built ahead, in a slot
+                stages.append((-1 - len(stages), build))
+                build = itemgetter(stages[-1][0])
+            out.append(build)
+    top = out[0]
+    if not stages:
+        return top, created
+
+    def staged(s):
+        s = s + [None] * len(stages)  # the tail slots
+        for slot, stage in stages:
+            s[slot] = stage(s)
+        return top(s)
+    return staged, created
 
 
-def _compile_template(template, var_slot, slot_of):
-    """A template's builder and created-node count; a variable or a shared
-    left-side position is its slot number in place of a builder."""
-    cls = template.__class__
-    if cls is RVar:
-        return var_slot[template.name], 0
-    if cls is RShare:
-        slot = 0
-        for i in template.path:
-            slot = slot_of[(slot, i)]
-        return slot, 0
-    if cls is RLit:
-        value = template.value
-        return (lambda s: Node(value)), 1
-    label = template.label
-    kids, created = [], 1
-    for child in template.children:
-        kid, n = _compile_template(child, var_slot, slot_of)
-        kids.append(itemgetter(kid) if kid.__class__ is int else kid)
-        created += n
+def _application(label, kids):
     if len(kids) == 2:
         f, g = kids
-        return (lambda s: Node(label, (f(s), g(s)))), created
+        return lambda s: Node(label, (f(s), g(s)))
     if len(kids) == 1:
         f, = kids
-        return (lambda s: Node(label, (f(s),))), created
-    return (lambda s: Node(label, [f(s) for f in kids])), created
+        return lambda s: Node(label, (f(s),))
+    return lambda s: Node(label, [f(s) for f in kids])
 
 
 # ---- the evaluator ------------------------------------------------------------

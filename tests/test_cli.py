@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from needle import cli
 from needle.cli import main
 
 CORPUS = "tests/corpus"
@@ -125,8 +126,9 @@ def test_rule_side_depth_limit(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_traced_runs_out_of_memory_exit_1():
-    # a divergent traced run grows its log until memory runs out; the
-    # child interpreter alone gets a 400 MB address-space limit
+    # a divergent traced run under a budget of 10^8 steps grows its log
+    # until memory runs out; the child interpreter alone gets a 400 MB
+    # address-space limit
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
             "from needle.cli import main\n"
@@ -134,12 +136,35 @@ def test_traced_runs_out_of_memory_exit_1():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for args in (["validate", LOOP, "fst(MkPair(loop, 0))"],
                  ["eval", LOOP, "fst(MkPair(loop, 0))", "--trace"]):
+        args += ["--max-steps", "100000000"]
         done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 1, done.stderr[-2000:]
         assert done.stdout == ""
         assert done.stderr == \
             "error: out of memory; --max-steps bounds the run\n"
+
+
+def test_traced_runs_have_their_own_default_budget(monkeypatch, capsys):
+    # --max-steps, else NEEDLE_MAX_STEPS, else cli.TRACED_MAX_STEPS; validate
+    # gives its oracle run the same budget
+    monkeypatch.setattr(cli, "TRACED_MAX_STEPS", 40)
+    monkeypatch.delenv("NEEDLE_MAX_STEPS", raising=False)
+    expr = "fst(MkPair(loop, 0))"
+
+    def expect(budget, *args):
+        assert main(["eval", LOOP, expr, "--trace", *args]) == 4
+        assert capsys.readouterr().err == \
+            f"step limit reached after {budget} step(s)\n"
+        assert main(["validate", LOOP, expr, *args]) == 0
+        assert capsys.readouterr().out == \
+            f"ok: {budget} machine step(s), {budget - 1} proper step(s), " \
+            f"source strategy agrees\n"
+
+    expect(40)
+    monkeypatch.setenv("NEEDLE_MAX_STEPS", "30")
+    expect(30)
+    expect(20, "--max-steps", "20")
 
 
 def test_bench_prints_the_counter_table(capsys):
