@@ -59,9 +59,6 @@ class Symbol:
 H = Symbol("H", CONTROL, 1)
 N = Symbol("N", CONTROL, 1)
 
-Label = Union[Symbol, int]
-
-
 # ---- graph nodes ------------------------------------------------------------
 
 _node_ids = itertools.count(1)
@@ -154,9 +151,6 @@ class PApp:
 
     label: Symbol
     args: tuple = ()
-
-
-Pattern = Union[PVar, PLit, PAnyLit, PApp]
 
 
 def pattern_vars(p) -> Iterator[Union[PVar, PAnyLit]]:

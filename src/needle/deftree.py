@@ -83,9 +83,9 @@ def build_deftree(system, op):
     rules = system.rules.get(op, [])
     if not rules:
         return DTExempt()
-    top = DTIntBranch((), [])  # stands in as the root's parent
-    root = tuple(map(PVar, fresh_names(op.arity, set()), op.arg_sorts))
-    todo = [(top, None, PApp(op, root), list(rules), ())]
+    args = tuple(map(PVar, fresh_names(op.arity, set()), op.arg_sorts))
+    root, subtasks = _split(system, op, PApp(op, args), list(rules), ())
+    todo = [(root, *task) for task in reversed(subtasks)]
     while todo:
         parent, index, pattern, rules, guards = todo.pop()
         tree, subtasks = _split(system, op, pattern, rules, guards)
@@ -94,7 +94,7 @@ def build_deftree(system, op):
         else:
             parent.children[index] = (parent.children[index][0], tree)
         todo.extend((tree, *task) for task in reversed(subtasks))
-    return top.default
+    return root
 
 
 def _split(system, op, pattern, rules, guards):

@@ -166,7 +166,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.system = system
-        self.pending = []  # (sort, parent, token) of ground symbols to build
 
     def peek(self):
         return self.tokens[self.pos]
@@ -273,10 +272,13 @@ class _Parser:
         self.expect("punct", "=")
         rhs_raw = self.parse_term()
         var_sorts = {}
-        lhs = self.check_side(lhs_raw, op, PApp, partial(
-            self.check_pattern, op=op, var_sorts=var_sorts, wilds=[0]))
-        rhs = self.check_side(rhs_raw, op.result_sort, RApp,
-                              partial(self.check_rhs, var_sorts=var_sorts))
+        lhs = self.check_side(
+            lhs_raw, op, lambda sym, args, *_: PApp(sym, args),
+            partial(self.check_pattern, op=op, var_sorts=var_sorts,
+                    wilds=[0]))
+        rhs = self.check_side(
+            rhs_raw, op.result_sort, lambda sym, args, *_: RApp(sym, args),
+            partial(self.check_rhs, var_sorts=var_sorts))
         rule = SourceRule(op, lhs, rhs, len(self.system.rules[op]), var_sorts)
         self.system.rules[op].append(rule)
 
@@ -322,29 +324,30 @@ class _Parser:
                    max_depth=MAX_RULE_DEPTH):
         """Check a term without recursion.  `check_term(raw, sort, parent)`
         returns a checked leaf, or the symbol of an application whose
-        arguments are checked next; `build(symbol, args)` then makes it.
+        arguments are checked next; `build(symbol, args, sort, parent, tok)`
+        then makes it, given the sort expected of it and the symbol above it.
         No term may sit inside more than `max_depth` argument lists."""
-        open_apps = []  # (symbol, raw args, checked args) of open applications
+        open_apps = []  # (symbol, raw term, sort, parent, checked args)
         while True:
             if max_depth is not None and len(open_apps) > max_depth:
                 self.fail(f"rule side nested more than {max_depth} "
                           f"levels deep", raw[2])
-            term = check_term(raw, sort,
-                              open_apps[-1][0] if open_apps else None)
+            parent = open_apps[-1][0] if open_apps else None
+            term = check_term(raw, sort, parent)
             if term.__class__ is Symbol:
                 if raw[1][1]:
-                    open_apps.append((term, raw[1][1], []))
+                    open_apps.append((term, raw, sort, parent, []))
                     raw, sort = raw[1][1][0], term.arg_sorts[0]
                     continue
-                term = build(term, ())
+                term = build(term, (), sort, parent, raw[2])
             while open_apps:
-                sym, args, done = open_apps[-1]
+                sym, raw, sort, parent, done = open_apps[-1]
                 done.append(term)
-                if len(done) < len(args):
-                    raw, sort = args[len(done)], sym.arg_sorts[len(done)]
+                if len(done) < len(raw[1][1]):
+                    raw, sort = raw[1][1][len(done)], sym.arg_sorts[len(done)]
                     break
                 open_apps.pop()
-                term = build(sym, tuple(done))
+                term = build(sym, tuple(done), sort, parent, raw[2])
             else:
                 return term
 
@@ -430,11 +433,10 @@ class _Parser:
                       tok)
         if len(args) != sym.arity:
             self.fail(f"{name!r} takes {sym.arity} argument(s)", tok)
-        self.pending.append((sort, parent, tok))
         return sym
 
-    def build_ground(self, sym, args):
-        self.check_sort(sym.result_sort, *self.pending.pop())
+    def build_ground(self, sym, args, sort, parent, tok):
+        self.check_sort(sym.result_sort, sort, parent, tok)
         return Node(sym, args)
 
     def check_sort(self, found, sort, parent, tok):

@@ -167,6 +167,21 @@ def test_traced_runs_have_their_own_default_budget(monkeypatch, capsys):
     expect(20, "--max-steps", "20")
 
 
+def test_validate_reports_a_budget_that_cuts_only_the_compiled_run(
+        monkeypatch, capsys):
+    # fib(5) takes 36 source steps, and 66 machine steps in cr, 38 in or
+    monkeypatch.delenv("NEEDLE_MAX_STEPS", raising=False)
+    for mode, budget in (("cr", 50), ("or", 37)):
+        monkeypatch.setattr(cli, "TRACED_MAX_STEPS", budget)
+        for args in ([], ["--max-steps", str(budget)]):
+            assert main(["validate", FIB, "fib(5)", "--mode", mode,
+                         *args]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                f"step limit reached after {budget} step(s)\n"
+
+
 def test_bench_prints_the_counter_table(capsys):
     assert main(["bench", FIB, "fib(5)"]) == 0
     out = capsys.readouterr().out
