@@ -97,6 +97,12 @@ def test_compiled_append_listings_match_golden(systems):
     assert elapsed < time_budget(1)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_every_corpus_listing_matches_golden(programs, name, mode):
+    assert format_program(programs(name, mode)) == golden(f"{name}_{mode}.txt")
+
+
 def test_transformation_phases_on_the_forcing_rule(systems, programs):
     staged = phase1(systems["append"], programs("append", "cr").rules)
     instantiated = [format_rule(r) for r in staged
