@@ -7,8 +7,9 @@ Three object programs can be produced from the same system:
   that walk constructor results.
 * mode "tr": the "cr" rules after two transformations: head-normalization of
   a bare variable is instantiated away (every operation that could produce
-  the variable's sort gets its own rule), and every `H(f(...))` collapses
-  into a specialized symbol `f^H`.  Rules whose right side is rooted by a
+  the variable's sort gets its own rule, and the copies share one right
+  side), and every `H(f(...))` collapses into a specialized symbol `f^H`,
+  once per shared right side.  Rules whose right side is rooted by a
   specialized symbol skip an evaluation-wrapper round trip; their
   applications are counted as shortcut steps.
 * mode "or": like "tr", but operation-rooted right sides are first rewritten
@@ -20,7 +21,7 @@ Rule priority is list order; the matcher tries rules first to last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -100,6 +101,13 @@ class ObjectRule:
     @property
     def exempt(self):
         return self.origin == "exempt"
+
+
+def _copy(rule, lhs, rhs, var_sorts, dispatch_path):
+    """`rule` with new sides, variable sorts and dispatch path, before
+    `_finalize` (a plain constructor call: `dataclasses.replace` is slow)."""
+    return ObjectRule(lhs, rhs, rule.origin, rule.section, rule.source,
+                      rule.builtin_op, var_sorts, dispatch_path)
 
 
 @dataclass
@@ -339,7 +347,8 @@ def phase1(system, rules):
     position) need no copies: the rules emitted ahead of this one already
     cover them, and rule order keeps them first.  Rules whose sort has no
     producing operations disappear: no runtime term can ever match their
-    dropped case.
+    dropped case.  All copies of a rule share one right side, in which the
+    variable is shared from the left side: H(x) becomes H(RShare(path)).
     """
     out = []
     for rule in rules:
@@ -352,19 +361,20 @@ def phase1(system, rules):
             continue
         hpath, name = found
         xpath = var_paths(rule.lhs)[name]
-        sort = rule.var_sorts[name]
         shared_rhs = pattern_subst(rule.rhs, hpath + (0,), RShare(xpath))
-        for g in system.ops_returning(sort):
-            taken = {v.name for v in pattern_vars(rule.lhs)}
-            fresh = fresh_names(g.arity, taken)
+        taken = {v.name for v in pattern_vars(rule.lhs)}
+        kept_sorts = dict(rule.var_sorts)
+        del kept_sorts[name]
+        for g in system.ops_returning(rule.var_sorts[name]):
+            fresh = fresh_names(g.arity, set(taken))
             inst_lhs = pattern_subst(
                 rule.lhs, xpath,
                 PApp(g, tuple(PVar(n, s) for n, s in
                               zip(fresh, g.arg_sorts))))
-            sorts = {k: v for k, v in rule.var_sorts.items() if k != name}
+            sorts = dict(kept_sorts)
             sorts.update(zip(fresh, g.arg_sorts))
-            out.append(replace(rule, lhs=inst_lhs, rhs=shared_rhs,
-                               var_sorts=sorts))
+            out.append(_copy(rule, inst_lhs, shared_rhs, sorts,
+                             rule.dispatch_path))
     return out
 
 
@@ -376,60 +386,86 @@ def _specialize_map(system):
     return mapping
 
 
-def _specialize_template(template, lhs, specialized):
+def _specialize_template(template, shift, specialized):
     """Collapse H(f(...)) into f^H(...) throughout a template, and drop the
-    leading 0 of every RShare path if the H-rooted `lhs` loses its wrapper."""
-    shift = 1 if lhs.label is H else 0
+    leading 0 of every RShare path if `shift` (the H-rooted left side loses
+    its wrapper).
+
+    An H(RShare(p)) stands for the call that a phase-1 copy holds at p in
+    its left side, so it stays in place as the hole each copy fills.  The
+    result is (template, path of the hole, the hole), or without a hole
+    (template, None, None)."""
     out, stack = [], [template]
+    hole, hole_at, hole_path = None, -1, []  # hole_path is built backwards
     while stack:
         t = stack.pop()
         cls = t.__class__
         if cls is RApp:
             if t.label is H:
                 inner = t.children[0]
-                if isinstance(inner, RApp) and inner.label.is_op:
-                    t = RApp(specialized[inner.label], inner.children)
-                elif isinstance(inner, RShare):
-                    target = pattern_at(lhs, inner.path)
-                    assert isinstance(target, PApp) and target.label.is_op
-                    t = RApp(specialized[target.label],
-                             tuple(RShare(inner.path + (i,))
-                                   for i in range(len(target.args))))
-                else:
+                if inner.__class__ is RShare:
+                    assert hole is None, "at most one H(RShare) per template"
+                    hole, hole_at = t, len(out)
+                    out.append(t)
+                    continue
+                if not (isinstance(inner, RApp) and inner.label.is_op):
                     raise AssertionError(f"phase 2 found H over {inner!r}")
+                t = RApp(specialized[inner.label], inner.children)
             stack.append(t.label)
             stack += t.children[::-1]
         elif cls is Symbol:  # an application whose children are done
-            kids = tuple(out[len(out) - t.arity:])
-            del out[len(out) - t.arity:]
+            start = len(out) - t.arity
+            kids = tuple(out[start:])
+            del out[start:]
+            if hole_at >= start:
+                hole_path.append(hole_at - start)
+                hole_at = start
             out.append(RApp(t, kids))
         elif cls is RShare and shift:
             assert t.path and t.path[0] == 0
             out.append(RShare(t.path[1:]))
         else:
             out.append(t)
-    return out[0]
+    if hole is None:
+        return out[0], None, None
+    return out[0], tuple(reversed(hole_path)), hole
 
 
 def phase2(rules, specialized):
     """Turn H(f(args)) = rhs into f^H(args) = rhs', collapsing every
-    wrapped call on the right side into its specialized symbol."""
+    wrapped call on the right side into its specialized symbol.
+
+    Each right side is specialized once, however many rules share it (all
+    phase-1 copies of a rule do).  A copy's H(RShare(p)) is left as a hole
+    in the shared result, and each copy fills it with g^H over the
+    arguments of the call g at p in its own left side."""
+    done = {}  # (id of a right side, shift) -> _specialize_template's result
     out = []
     for rule in rules:
-        rhs = rule.rhs
+        lhs, rhs, path = rule.lhs, rule.rhs, rule.dispatch_path
+        shift = lhs.label is H
         if rhs is not None:
-            rhs = _specialize_template(rhs, rule.lhs, specialized)
-        if rule.head is H:
-            inner = rule.lhs.args[0]
+            key = (id(rhs), shift)
+            if key not in done:
+                done[key] = _specialize_template(rhs, shift, specialized)
+            rhs, hole_path, hole = done[key]
+            if hole is not None:
+                share = hole.children[0].path
+                target = pattern_at(lhs, share)
+                assert isinstance(target, PApp) and target.label.is_op
+                share = share[shift:]
+                rhs = pattern_subst(rhs, hole_path, RApp(
+                    specialized[target.label],
+                    tuple(RShare(share + (i,))
+                          for i in range(len(target.args)))))
+        if shift:
+            inner = lhs.args[0]
             assert isinstance(inner, PApp) and inner.label.is_op
             lhs = PApp(specialized[inner.label], inner.args)
-            path = rule.dispatch_path
             if path is not None:
                 assert path[0] == 0
                 path = path[1:]
-            out.append(replace(rule, lhs=lhs, rhs=rhs, dispatch_path=path))
-        else:
-            out.append(replace(rule, rhs=rhs))
+        out.append(_copy(rule, lhs, rhs, rule.var_sorts, path))
     return out
 
 
@@ -469,6 +505,7 @@ def _count_allocs(template):
 
 
 def _assert_no_h(rules):
+    """No H survives phase 2, also not as an unfilled hole H(RShare(p))."""
     for rule in rules:
         assert rule.head is not H, f"H survived phase 2 in {rule.origin} lhs"
         stack = [rule.rhs] if rule.rhs is not None else []

@@ -11,7 +11,6 @@ from .core import (
     RShare,
     RVar,
     pattern_at,
-    pattern_vars,
     resolve,
 )
 from .deftree import DTBranch, DTExempt, DTRule
@@ -62,12 +61,12 @@ def format_node(node, resolve=resolve, erase=False):
 # ---- patterns, templates, rules ------------------------------------------------
 
 
-def format_template(t, lhs=None):
-    """Text of a pattern, or of a template over the left side `lhs`: a
-    shared position prints as the pattern there, and a variable bound to a
-    literal as `#name`."""
-    literals = () if lhs is None else {
-        v.name for v in pattern_vars(lhs) if v.__class__ is PAnyLit}
+def format_template(t, lhs=None, literals=()):
+    """Text of a pattern, or of a template over the left side `lhs`, and the
+    set of names of the literal variables (`PAnyLit`) it prints.  A shared
+    position prints as the pattern there, and a variable named in
+    `literals` (those of `lhs`) as `#name`."""
+    found = set()
     parts = []
     emit = parts.append
     stack = [t]
@@ -82,9 +81,11 @@ def format_template(t, lhs=None):
             emit(str(t.value))
         elif cls is RShare:
             push(pattern_at(lhs, t.path))
-        elif cls is PVar or cls is RVar or cls is PAnyLit:
-            literal = cls is PAnyLit or t.name in literals
-            emit("#" + t.name if literal else t.name)
+        elif cls is PAnyLit:
+            found.add(t.name)
+            emit("#" + t.name)
+        elif cls is PVar or cls is RVar:
+            emit("#" + t.name if t.name in literals else t.name)
         else:
             kids = t.args if cls is PApp else t.children
             if not kids:
@@ -98,11 +99,11 @@ def format_template(t, lhs=None):
                 push(", ")
                 i -= 1
             push(kids[0])
-    return "".join(parts)
+    return "".join(parts), found
 
 
 def format_rule(rule):
-    lhs = format_template(rule.lhs)
+    lhs, literals = format_template(rule.lhs)
     if rule.exempt:
         rhs = "abort"
     elif rule.builtin_op is not None:
@@ -110,7 +111,7 @@ def format_rule(rule):
         a, b = rule.builtin_operands or ("a", "b")
         rhs = f"<{a} {op} {b}>"
     else:
-        rhs = format_template(rule.rhs, rule.lhs)
+        rhs = format_template(rule.rhs, rule.lhs, literals)[0]
     return f"{lhs} = {rhs}  ; {rule.origin}"
 
 
@@ -151,8 +152,9 @@ def format_tree(tree, indent=0):
             lines.append(pad + tree)
         elif isinstance(tree, DTRule):
             rule = tree.rule
-            lines.append(f"{pad}rule {format_template(rule.lhs)} = "
-                         f"{format_template(rule.rhs, rule.lhs)}")
+            lhs, literals = format_template(rule.lhs)
+            rhs = format_template(rule.rhs, rule.lhs, literals)[0]
+            lines.append(f"{pad}rule {lhs} = {rhs}")
         elif isinstance(tree, DTExempt):
             lines.append(f"{pad}exempt")
         else:

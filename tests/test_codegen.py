@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from needle import build_program
-from needle.codegen import phase1
+from needle.codegen import phase1, phase2
 from needle.core import CONTROL, SPECIALIZED, H, PAnyLit
 from needle.render import format_rule
 
@@ -86,6 +86,23 @@ def test_phase1_drops_rules_with_no_producing_operation(programs):
     # nothing in head.rw returns List, so the H(x)-forcing rule vanishes
     assert by_origin(programs("head", "tr"), "dispatch") == []
     assert len(by_origin(programs("head", "cr"), "dispatch")) == 1
+
+
+def test_phase2_fills_each_copy_of_a_shared_right_side(programs, systems):
+    # H(add(#a, y)) = H(add(#a, H(y))) gets one copy per operation that
+    # returns Int; the copies share one right side, specialized once
+    staged = phase1(systems["length"], programs("length", "cr").rules)
+    copies = [r for r in staged if r.origin == "builtin-dispatch"
+              and r.lhs.args[0].label.name == "add"
+              and isinstance(r.lhs.args[0].args[0], PAnyLit)]
+    assert len(copies) == 3
+    assert len({id(r.rhs) for r in copies}) == 1
+    specialized = phase2(copies, programs("length", "tr").specialized)
+    assert [format_rule(r) for r in specialized] == [
+        "add^H(#a, length(u)) = add^H(#a, length^H(u))  ; builtin-dispatch",
+        "add^H(#a, add(u, v)) = add^H(#a, add^H(u, v))  ; builtin-dispatch",
+        "add^H(#a, sub(u, v)) = add^H(#a, sub^H(u, v))  ; builtin-dispatch",
+    ]
 
 
 def test_phase2_specializes_every_wrapper(programs):
