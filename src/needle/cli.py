@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .codegen import build_program
-from .core import NeedleError
+from .core import NeedleError, acyclic
 from .deftree import DefTreeError, build_all_deftrees
 from .frontend import SourceError, parse_expr, parse_system
 from .oracle import oracle_eval, validate_trace
@@ -217,7 +217,9 @@ def main(argv=None):
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Scanning, parsing and rendering allocate, and with the collector on
+        # each allocation burst scans every object of a large program.
+        return acyclic(args.func)(args)
     except SourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

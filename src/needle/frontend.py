@@ -97,9 +97,10 @@ def scan(text):
             i += 2
             col += 2
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "-" and i + 1 < n
+                             and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], start_line, start_col))
             col += j - i

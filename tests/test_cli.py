@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -107,6 +108,45 @@ def test_bad_step_budgets_exit_1(monkeypatch, capsys):
         assert main(args + ["--mode", mode]) == 1
         assert "NEEDLE_MAX_STEPS must be an integer, not 'abc'" \
             in capsys.readouterr().err
+
+
+def test_non_decimal_digits_exit_1(tmp_path, capsys):
+    # `str.isdigit` accepts '²', which `int` then refused with a traceback
+    ok = tmp_path / "ok.rw"
+    ok.write_text("op f(Int) -> Int: f(x) = x;\n")
+    assert main(["eval", str(ok), "f(²)"]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 1:3: unexpected character '²'\n"
+    bad = tmp_path / "bad.rw"
+    bad.write_text("op f(Int) -> Int: f(x) = add(x, ²);\n")
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 1:33: unexpected character '²'\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_leave_the_collector_as_they_found_it(enabled, monkeypatch,
+                                                       capsys):
+    seen = []
+
+    def load(path, real=cli._load_system):
+        seen.append(gc.isenabled())
+        if path == HEAD:
+            raise MemoryError
+        return real(path)
+
+    monkeypatch.setattr(cli, "_load_system", load)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        codes = [main(["compile", APPEND]), main(["check", "no/such.rw"]),
+                 main(["check", HEAD])]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert codes == [0, 1, 1]
+    assert seen == [False] * 3  # the commands ran with the collector paused
+    assert capsys.readouterr().err.endswith("error: out of memory\n")
 
 
 def test_rule_side_depth_limit(tmp_path, capsys):
