@@ -393,10 +393,9 @@ def _specialize_template(template, shift, specialized):
 
     An H(RShare(p)) stands for the call that a phase-1 copy holds at p in
     its left side, so it stays in place as the hole each copy fills.  The
-    result is (template, path of the hole, the hole), or without a hole
-    (template, None, None)."""
+    result is (template, path of the hole, p), or (template, None, None)."""
     out, stack = [], [template]
-    hole, hole_at, hole_path = None, -1, []  # hole_path is built backwards
+    share, hole_at, hole_path = None, -1, []  # hole_path is built backwards
     while stack:
         t = stack.pop()
         cls = t.__class__
@@ -404,8 +403,8 @@ def _specialize_template(template, shift, specialized):
             if t.label is H:
                 inner = t.children[0]
                 if inner.__class__ is RShare:
-                    assert hole is None, "at most one H(RShare) per template"
-                    hole, hole_at = t, len(out)
+                    assert share is None, "at most one H(RShare) per template"
+                    share, hole_at = inner.path, len(out)
                     out.append(t)
                     continue
                 if not (isinstance(inner, RApp) and inner.label.is_op):
@@ -426,9 +425,9 @@ def _specialize_template(template, shift, specialized):
             out.append(RShare(t.path[1:]))
         else:
             out.append(t)
-    if hole is None:
+    if share is None:
         return out[0], None, None
-    return out[0], tuple(reversed(hole_path)), hole
+    return out[0], tuple(reversed(hole_path)), share
 
 
 def phase2(rules, specialized):
@@ -448,9 +447,8 @@ def phase2(rules, specialized):
             key = (id(rhs), shift)
             if key not in done:
                 done[key] = _specialize_template(rhs, shift, specialized)
-            rhs, hole_path, hole = done[key]
-            if hole is not None:
-                share = hole.children[0].path
+            rhs, hole_path, share = done[key]
+            if share is not None:
                 target = pattern_at(lhs, share)
                 assert isinstance(target, PApp) and target.label.is_op
                 share = share[shift:]
