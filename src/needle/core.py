@@ -1,9 +1,9 @@
 """Shared term-graph machinery: symbols, nodes, patterns, templates, rules.
 
-Terms are mutable graphs of `Node` objects.  A rewrite never edits a node in
-place; it sets the node's `forward` pointer to the replacement, and every
-reader goes through `resolve`.  That keeps sharing exact: all parents of a
-rewritten node observe the result.
+Terms are graphs of `Node` objects.  A rewrite never edits a node in place
+(its children are a tuple); it sets the node's `forward` pointer to the
+replacement, and every reader goes through `resolve`.  That keeps sharing
+exact: all parents of a rewritten node observe the result.
 
 Labels are either `Symbol` instances (interned per system, compared by
 identity) or plain Python ints for integer literals.
@@ -65,10 +65,10 @@ _node_ids = itertools.count(1)
 
 
 class Node:
-    """A mutable term-graph node.
+    """A term-graph node over a tuple of children.
 
     `forward` is None for a live node; a rewritten node points at its
-    replacement (possibly transitively).
+    replacement (possibly transitively).  It is the only field that changes.
     """
 
     __slots__ = ("nid", "label", "children", "forward")
@@ -76,7 +76,7 @@ class Node:
     def __init__(self, label, children=()):
         self.nid = next(_node_ids)
         self.label = label
-        self.children = list(children)
+        self.children = tuple(children)
         self.forward = None
 
     def __repr__(self):

@@ -12,9 +12,10 @@ recursion) and runs with CPython's cyclic garbage collector paused
 (`core.acyclic`).
 
 The first evaluation of a program compiles its rules into slot code, one
-group per redex shape, that later evaluations reuse.  A selection fills one
-list of slots, one per left-side position in the group; match instructions
-and right-side builder closures read the nodes from their slots.  A builder
+group per redex shape, that later evaluations reuse.  Rule selection runs
+inside the loop, not in a call of its own.  A selection fills one list of
+slots, one per left-side position in the group; match instructions and
+right-side builder closures read the nodes from their slots.  A builder
 calls its subtrees' builders, one frame per level, but an application at a
 depth that is a multiple of `MAX_NESTING` is built first, into a slot of its
 own, so right sides of any depth build within the default recursion limit.
@@ -73,6 +74,10 @@ _EVALUABLE_KINDS = (CONTROL, SPECIALIZED)
 # Match instruction opcodes.
 _APP, _VAR, _LIT, _ANYLIT = 0, 1, 2, 3
 _NO_RULES = (2, ())  # the group of a redex shape no rule fires on
+
+# Index of a step class among the counters; exempt rules never step.
+_STEP_CLASS = {"rewrite": 0, "shortcut": 1, "dispatch": 2, "norm": 3,
+               "none": -1}
 
 
 def step_budget(max_steps=None, default=DEFAULT_MAX_STEPS):
@@ -200,9 +205,10 @@ def _compile_groups(rules):
     """Group a program's rules by redex shape and compile them to slot code.
 
     A group is (slot count, entries), one entry per rule in priority order:
-    (rule, match code, builder, nodes created, variable slots, fresh
-    evaluable paths).  The paths lead from the contractum's root to each
-    evaluable node the right side creates, in reverse post-order.  Slot 0 is
+    (match code, step class index, countable allocations, nodes created,
+    builder, variable slots, fresh evaluable paths, rule).  The paths lead
+    from the contractum's root to each evaluable node the right side
+    creates, in reverse post-order.  Slot 0 is
     the redex and, under H or N, slot 1 its child, which selection fetches
     and checks against the group's key.  Match instructions are (opcode,
     slot, parent slot, child index, payload) in pre-order, so a slot's
@@ -235,8 +241,10 @@ def _compile_groups(rules):
             if not (wrapped and slot == 1):
                 code.append((op, slot, parent, idx, payload))
         build, created = _builder(rule, var_slot, slot_of)
-        entries.append((rule, tuple(code), build, created,
-                        tuple(var_slot.values()), _evaluable_paths(rule.rhs)))
+        entries.append((tuple(code), _STEP_CLASS[rule.step_class],
+                        rule.countable_allocs, created, build,
+                        tuple(var_slot.values()), _evaluable_paths(rule.rhs),
+                        rule))
     return {key: (len(slot_of) + 1, tuple(entries))
             for key, (slot_of, entries) in groups.items()}
 
@@ -315,138 +323,123 @@ def _application(label, kids):
     if len(kids) == 1:
         f, = kids
         return lambda s: Node(label, (f(s),))
-    return lambda s: Node(label, [f(s) for f in kids])
+    return lambda s: Node(label, tuple([f(s) for f in kids]))
 
 
 # ---- the evaluator ------------------------------------------------------------
 
 
 class Evaluator:
+    """One run of an object program: `run` evaluates from a root once."""
+
     def __init__(self, program, max_steps=None, trace=False):
         self.program = program
         self.max_steps = step_budget(max_steps)
-        self.tracing = trace
-        self.counters = Counters()
-        self.steps = 0
         self.trace = [] if trace else None
-        self.fetched = set()
         if program.rule_groups is None:
             program.rule_groups = _compile_groups(program.rules)
         self.groups = program.rule_groups
 
-    # ---- matching ------------------------------------------------------
-
-    def select(self, node):
-        """Pick the first matching rule at an evaluable node.
-
-        Returns the rule's group entry and the slots of the match, or
-        raises NoRuleError.  Every node-label fetch is counted once per
-        selection (the redex root label is already known from scheduling
-        and is free).
-        """
-        counters = self.counters
-        fetched = self.fetched
-        fetched.clear()
-        label = node.label
-        if label is H or label is N:
-            child = node.children[0]
-            if child.forward is not None:
-                child = resolve(child)
-            clabel = child.label
-            group = self.groups.get(
-                (label, clabel if clabel.__class__ is Symbol else int),
-                _NO_RULES)
-            counters.node_matches += 1
-            slots = [None] * group[0]
-            slots[1] = child
-            fetched.add(child)
-        else:
-            group = self.groups.get(label, _NO_RULES)
-            slots = [None] * group[0]
-        slots[0] = node
-        matches = 0
-        for entry in group[1]:
-            for op, slot, parent, idx, payload in entry[1]:
-                target = slots[slot]
-                if target is None:
-                    target = slots[parent].children[idx]
-                    if target.forward is not None:
-                        target = resolve(target)
-                    slots[slot] = target
-                if op == _VAR:
-                    continue
-                if target not in fetched:
-                    fetched.add(target)
-                    matches += 1
-                if op == _APP:
-                    if target.label is not payload:
-                        break
-                else:  # _LIT or _ANYLIT
-                    tlabel = target.label
-                    if tlabel.__class__ is not int \
-                            or (op == _LIT and tlabel != payload):
-                        break
-            else:
-                counters.node_matches += matches
-                return entry, slots
-        raise NoRuleError(f"no rule matches {label.name} node {node.nid}")
-
-    # ---- main loop -----------------------------------------------------
-
     def run(self, root):
-        self.root = root
+        """Rewrite until the worklist is empty, an exempt rule aborts, or the
+        budget runs out.
+
+        Each step selects the first matching rule of the node's group.
+        Every node-label fetch is counted once per selection (the redex
+        root label is already known from scheduling and is free).  The
+        counters are kept in locals and stored on `counters` at every exit.
+        """
         stack = [root]
         pop = stack.pop
         push = stack.append
-        counters = self.counters
-        tracing = self.tracing
+        get_group = self.groups.get
+        trace = self.trace
         max_steps = self.max_steps
-        steps = self.steps
-        while stack:
-            node = pop()
-            entry, slots = self.select(node)
-            rule, _, build, created, var_slots, fresh = entry
-            cls = rule.step_class
-            if cls == "none":  # exempt: no rule can ever apply here
-                self.steps = steps
-                return self._result("aborted", abort_rule=rule)
-            if steps >= max_steps:
-                self.steps = steps
-                return self._result("steplimit")
-            steps += 1
-            if cls == "rewrite":
-                counters.rewrite_steps += 1
-            elif cls == "shortcut":
-                counters.shortcut_steps += 1
-            elif cls == "dispatch":
-                counters.dispatch_steps += 1
-            else:
-                counters.norm_steps += 1
-            counters.node_allocations += rule.countable_allocs
-            if __debug__:
-                for slot in var_slots:
-                    blabel = slots[slot].label
-                    assert not (isinstance(blabel, Symbol)
-                                and blabel.kind in _EVALUABLE_KINDS), \
-                        "innermost discipline violated"
-            counters.nodes_created += created
-            replacement = build(slots)
-            node.forward = replacement
-            if tracing:
-                self.trace.append(TraceStep(rule, node, replacement))
-            for path in fresh:
-                target = replacement
-                for i in path:
-                    target = target.children[i]
-                push(target)
-        self.steps = steps
-        return self._result("value")
-
-    def _result(self, outcome, abort_rule=None):
-        start = self.root if self.tracing else None
-        return EvalResult(outcome, resolve(self.root), self.counters,
-                          self.steps, self.program, self.trace, start,
-                          abort_rule)
+        fetched = set()
+        by_class = [0, 0, 0, 0]  # rewrite, shortcut, dispatch and norm steps
+        steps = matches = allocs = created = 0
+        outcome, abort_rule = "value", None
+        try:
+            while stack:
+                node = pop()
+                fetched.clear()
+                label = node.label
+                if label is H or label is N:
+                    child = node.children[0]
+                    if child.forward is not None:
+                        child = resolve(child)
+                    clabel = child.label
+                    nslots, entries = get_group(
+                        (label, clabel if clabel.__class__ is Symbol else int),
+                        _NO_RULES)
+                    matches += 1
+                    slots = [None] * nslots
+                    slots[1] = child
+                    fetched.add(child)
+                else:
+                    nslots, entries = get_group(label, _NO_RULES)
+                    slots = [None] * nslots
+                slots[0] = node
+                fetches = 0
+                for entry in entries:
+                    for op, slot, parent, idx, payload in entry[0]:
+                        target = slots[slot]
+                        if target is None:
+                            target = slots[parent].children[idx]
+                            if target.forward is not None:
+                                target = resolve(target)
+                            slots[slot] = target
+                        if op == _VAR:
+                            continue
+                        if target not in fetched:
+                            fetched.add(target)
+                            fetches += 1
+                        if op == _APP:
+                            if target.label is not payload:
+                                break
+                        else:  # _LIT or _ANYLIT
+                            tlabel = target.label
+                            if tlabel.__class__ is not int \
+                                    or (op == _LIT and tlabel != payload):
+                                break
+                    else:
+                        break
+                else:
+                    raise NoRuleError(
+                        f"no rule matches {label.name} node {node.nid}")
+                matches += fetches
+                _, cls, rule_allocs, rule_created, build, var_slots, fresh, \
+                    rule = entry
+                if cls < 0:  # exempt: no rule can ever apply here
+                    outcome, abort_rule = "aborted", rule
+                    break
+                if steps >= max_steps:
+                    outcome = "steplimit"
+                    break
+                steps += 1
+                by_class[cls] += 1
+                allocs += rule_allocs
+                if __debug__:
+                    for slot in var_slots:
+                        blabel = slots[slot].label
+                        assert not (blabel.__class__ is Symbol
+                                    and blabel.kind in _EVALUABLE_KINDS), \
+                            "innermost discipline violated"
+                created += rule_created
+                replacement = build(slots)
+                node.forward = replacement
+                if trace is not None:
+                    trace.append(TraceStep(rule, node, replacement))
+                for path in fresh:
+                    target = replacement
+                    for i in path:
+                        target = target.children[i]
+                    push(target)
+        finally:
+            self.counters = Counters(*by_class, matches, allocs, created)
+        return EvalResult(outcome, resolve(root), self.counters,
+                          steps, self.program, trace,
+                          root if trace is not None else None, abort_rule)
 
 
 @acyclic

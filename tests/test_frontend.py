@@ -198,7 +198,7 @@ def test_parse_expr_builds_sorted_graphs():
     inner = node.children[0]
     assert inner.label is system.symbols["S"]
     lit, sort = parse_expr(system, "-7")
-    assert sort == "Int" and lit.label == -7 and lit.children == []
+    assert sort == "Int" and lit.label == -7 and lit.children == ()
 
 
 def test_parse_expr_rejects_bad_input():

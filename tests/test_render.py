@@ -32,8 +32,8 @@ def test_node_rendering_round_trips_canonical_text(systems):
 
 
 def test_shared_nodes_print_as_their_unfolding(systems):
-    expr, _ = parse_expr(systems["fib"], "add(1, 2)")
-    expr.children[1] = expr.children[0]
+    one = Node(1)
+    expr = Node(systems["fib"].symbols["add"], (one, one))
     assert format_node(expr) == "add(1, 1)"
 
 

@@ -10,7 +10,7 @@ from conftest import app, int_list
 
 from needle import (EvaluationError, build_program, evaluate, oracle_eval,
                     parse_expr, parse_system, validate_trace)
-from needle.core import resolve
+from needle.core import H, Node, resolve
 from needle.render import format_node, format_trace
 from needle.runtime import DEFAULT_MAX_STEPS, NoRuleError, Replay, step_budget
 
@@ -217,6 +217,28 @@ def test_arithmetic_overflow_raises(systems, programs):
                          "add(9223372036854775807, 1)")
     with pytest.raises(EvaluationError, match="integer overflow"):
         evaluate(programs("fib", "cr"), expr)
+
+
+@pytest.mark.skipif(not __debug__, reason="the check is an assert")
+def test_an_evaluable_node_under_a_variable_breaks_innermost(systems, programs):
+    system = systems["length"]
+    inputs = [
+        lambda: app(system, "length", Node(H, (app(system, "Nil"),))),
+        lambda: app(system, "length",
+                    app(system, "Cons", Node(H, (Node(1),)),
+                        app(system, "Nil"))),
+    ]
+    for mode in ("cr", "tr", "or"):
+        for build in inputs:
+            with pytest.raises(AssertionError,
+                               match="innermost discipline violated"):
+                evaluate(programs("length", mode), build())
+
+
+def test_node_children_are_immutable():
+    node = Node(H, (Node(1),))
+    with pytest.raises(TypeError):
+        node.children[0] = Node(2)
 
 
 def test_incomplete_programs_raise_no_rule_error(systems):
