@@ -347,7 +347,10 @@ class Evaluator:
         Each step selects the first matching rule of the node's group.
         Every node-label fetch is counted once per selection (the redex
         root label is already known from scheduling and is free).  The
-        counters are kept in locals and stored on `counters` at every exit.
+        counters are kept in locals and stored on `counters` when the loop
+        ends, also before NoRuleError is raised.  An exception raised inside
+        the loop (integer overflow, memory) leaves them unstored: the run is
+        lost, and allocating on that path can fail again.
         """
         stack = [root]
         pop = stack.pop
@@ -359,84 +362,84 @@ class Evaluator:
         by_class = [0, 0, 0, 0]  # rewrite, shortcut, dispatch and norm steps
         steps = matches = allocs = created = 0
         outcome, abort_rule = "value", None
-        try:
-            while stack:
-                node = pop()
-                fetched.clear()
-                label = node.label
-                if label is H or label is N:
-                    child = node.children[0]
-                    if child.forward is not None:
-                        child = resolve(child)
-                    clabel = child.label
-                    nslots, entries = get_group(
-                        (label, clabel if clabel.__class__ is Symbol else int),
-                        _NO_RULES)
-                    matches += 1
-                    slots = [None] * nslots
-                    slots[1] = child
-                    fetched.add(child)
+        while stack:
+            node = pop()
+            fetched.clear()
+            label = node.label
+            if label is H or label is N:
+                child = node.children[0]
+                if child.forward is not None:
+                    child = resolve(child)
+                clabel = child.label
+                nslots, entries = get_group(
+                    (label, clabel if clabel.__class__ is Symbol else int),
+                    _NO_RULES)
+                matches += 1
+                slots = [None] * nslots
+                slots[1] = child
+                fetched.add(child)
+            else:
+                nslots, entries = get_group(label, _NO_RULES)
+                slots = [None] * nslots
+            slots[0] = node
+            fetches = 0
+            for entry in entries:
+                for op, slot, parent, idx, payload in entry[0]:
+                    target = slots[slot]
+                    if target is None:
+                        target = slots[parent].children[idx]
+                        if target.forward is not None:
+                            target = resolve(target)
+                        slots[slot] = target
+                    if op == _VAR:
+                        continue
+                    if target not in fetched:
+                        fetched.add(target)
+                        fetches += 1
+                    if op == _APP:
+                        if target.label is not payload:
+                            break
+                    else:  # _LIT or _ANYLIT
+                        tlabel = target.label
+                        if tlabel.__class__ is not int \
+                                or (op == _LIT and tlabel != payload):
+                            break
                 else:
-                    nslots, entries = get_group(label, _NO_RULES)
-                    slots = [None] * nslots
-                slots[0] = node
-                fetches = 0
-                for entry in entries:
-                    for op, slot, parent, idx, payload in entry[0]:
-                        target = slots[slot]
-                        if target is None:
-                            target = slots[parent].children[idx]
-                            if target.forward is not None:
-                                target = resolve(target)
-                            slots[slot] = target
-                        if op == _VAR:
-                            continue
-                        if target not in fetched:
-                            fetched.add(target)
-                            fetches += 1
-                        if op == _APP:
-                            if target.label is not payload:
-                                break
-                        else:  # _LIT or _ANYLIT
-                            tlabel = target.label
-                            if tlabel.__class__ is not int \
-                                    or (op == _LIT and tlabel != payload):
-                                break
-                    else:
-                        break
-                else:
-                    raise NoRuleError(
-                        f"no rule matches {label.name} node {node.nid}")
-                matches += fetches
-                _, cls, rule_allocs, rule_created, build, var_slots, fresh, \
-                    rule = entry
-                if cls < 0:  # exempt: no rule can ever apply here
-                    outcome, abort_rule = "aborted", rule
                     break
-                if steps >= max_steps:
-                    outcome = "steplimit"
-                    break
-                steps += 1
-                by_class[cls] += 1
-                allocs += rule_allocs
-                if __debug__:
-                    for slot in var_slots:
-                        blabel = slots[slot].label
-                        assert not (blabel.__class__ is Symbol
-                                    and blabel.kind in _EVALUABLE_KINDS), \
-                            "innermost discipline violated"
-                created += rule_created
-                replacement = build(slots)
-                node.forward = replacement
-                if trace is not None:
-                    trace.append(TraceStep(rule, node, replacement))
-                for path in fresh:
-                    target = replacement
-                    for i in path:
-                        target = target.children[i]
-                    push(target)
-        finally:
-            self.counters = Counters(*by_class, matches, allocs, created)
+            else:  # no rule matches: a compiler invariant broke
+                outcome = None
+                break
+            matches += fetches
+            _, cls, rule_allocs, rule_created, build, var_slots, fresh, \
+                rule = entry
+            if cls < 0:  # exempt: no rule can ever apply here
+                outcome, abort_rule = "aborted", rule
+                break
+            if steps >= max_steps:
+                outcome = "steplimit"
+                break
+            steps += 1
+            by_class[cls] += 1
+            allocs += rule_allocs
+            if __debug__:
+                for slot in var_slots:
+                    blabel = slots[slot].label
+                    assert not (blabel.__class__ is Symbol
+                                and blabel.kind in _EVALUABLE_KINDS), \
+                        "innermost discipline violated"
+            created += rule_created
+            replacement = build(slots)
+            node.forward = replacement
+            if trace is not None:
+                trace.append(TraceStep(rule, node, replacement))
+            for path in fresh:
+                target = replacement
+                for i in path:
+                    target = target.children[i]
+                push(target)
+        self.counters = Counters(*by_class, matches, allocs, created)
+        if outcome is None:
+            raise NoRuleError(f"no rule matches {label.name} node {node.nid}")
         return EvalResult(outcome, resolve(root), self.counters,
                           steps, self.program, trace,
                           root if trace is not None else None, abort_rule)
