@@ -21,7 +21,7 @@ Rule priority is list order; the matcher tries rules first to last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -75,7 +75,7 @@ _ORIGIN_CLASS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectRule:
     """One object-level rule.  `lhs` is rooted by H, N, or a specialized
     symbol; `rhs` is a template (None for exempt and builtin-leaf rules)."""
@@ -86,12 +86,10 @@ class ObjectRule:
     section: str  # "h", "n", or "builtin" (for listing layout)
     source: Optional[object] = None  # SourceRule this rule implements
     builtin_op: Optional[str] = None
-    var_sorts: dict = field(default_factory=dict)
     dispatch_path: Optional[tuple] = None  # lhs path that must hold an operation
     # Filled in by _finalize:
     step_class: str = "rewrite"
     countable_allocs: int = 0
-    is_literal_norm: bool = False
     builtin_operands: tuple = ()
 
     @property
@@ -102,12 +100,16 @@ class ObjectRule:
     def exempt(self):
         return self.origin == "exempt"
 
+    @property
+    def is_literal_norm(self):
+        return self.origin == "literal-norm"
 
-def _copy(rule, lhs, rhs, var_sorts, dispatch_path):
-    """`rule` with new sides, variable sorts and dispatch path, before
-    `_finalize` (a plain constructor call: `dataclasses.replace` is slow)."""
+
+def _copy(rule, lhs, rhs, dispatch_path):
+    """`rule` with new sides and dispatch path, before `_finalize` (a plain
+    constructor call: `dataclasses.replace` is slow)."""
     return ObjectRule(lhs, rhs, rule.origin, rule.section, rule.source,
-                      rule.builtin_op, var_sorts, dispatch_path)
+                      rule.builtin_op, dispatch_path)
 
 
 @dataclass
@@ -196,9 +198,8 @@ def _dispatch_rule(pattern, path):
     branch_var = pattern_at(pattern, path)
     wrapped = pattern_subst(_template_of_pattern(pattern), path,
                             _h(RVar(branch_var.name)))
-    var_sorts = {v.name: v.sort for v in pattern_vars(pattern)}
     return ObjectRule(PApp(H, (pattern,)), _h(wrapped), "dispatch", "h",
-                      var_sorts=var_sorts, dispatch_path=(0,) + tuple(path))
+                      dispatch_path=(0,) + tuple(path))
 
 
 def _rule_leaf(system, leaf, wrap, demanded):
@@ -214,12 +215,10 @@ def _rule_leaf(system, leaf, wrap, demanded):
         return _collapse_rules(system, rule, lhs_inner, rhs.name)
     if isinstance(rhs, RLit) or (isinstance(rhs, RApp)
                                  and rhs.label.kind == CONSTRUCTOR):
-        return [ObjectRule(lhs, rhs, "ctor-rooted", "h", source=rule,
-                           var_sorts=dict(rule.var_sorts))]
+        return [ObjectRule(lhs, rhs, "ctor-rooted", "h", source=rule)]
     # operation- or builtin-rooted right side
     body = _wrap_needed(rhs, demanded) if wrap else rhs
-    return [ObjectRule(lhs, _h(body), "op-rooted", "h", source=rule,
-                       var_sorts=dict(rule.var_sorts))]
+    return [ObjectRule(lhs, _h(body), "op-rooted", "h", source=rule)]
 
 
 def _collapse_rules(system, rule, lhs_inner, var_name):
@@ -232,8 +231,7 @@ def _collapse_rules(system, rule, lhs_inner, var_name):
     if sort == INT_SORT:
         guarded = pattern_subst(lhs_inner, pos, PAnyLit(var_name))
         out.append(ObjectRule(PApp(H, (guarded,)), share, "collapse-instance",
-                              "h", source=rule,
-                              var_sorts=dict(rule.var_sorts)))
+                              "h", source=rule))
     else:
         taken = {v.name for v in pattern_vars(lhs_inner)}
         for ctor in system.sorts[sort]:
@@ -242,12 +240,10 @@ def _collapse_rules(system, rule, lhs_inner, var_name):
                 lhs_inner, pos,
                 PApp(ctor, tuple(PVar(n, s) for n, s in
                                  zip(fresh, ctor.arg_sorts))))
-            sorts = dict(rule.var_sorts)
-            sorts.update(zip(fresh, ctor.arg_sorts))
             out.append(ObjectRule(PApp(H, (inst,)), share, "collapse-instance",
-                                  "h", source=rule, var_sorts=sorts))
+                                  "h", source=rule))
     out.append(ObjectRule(lhs, _h(RVar(var_name)), "collapse-default", "h",
-                          source=rule, var_sorts=dict(rule.var_sorts)))
+                          source=rule))
     return out
 
 
@@ -281,13 +277,11 @@ def builtin_h_rules(system):
         snd = PApp(H, (PApp(b, (PAnyLit("a"), PVar("y", INT_SORT))),))
         out.append(ObjectRule(
             snd, _h(RApp(b, (RVar("a"), _h(RVar("y"))))),
-            "builtin-dispatch", "builtin",
-            var_sorts={"y": INT_SORT}, dispatch_path=(0, 1)))
+            "builtin-dispatch", "builtin", dispatch_path=(0, 1)))
         fst = PApp(H, (PApp(b, (PVar("x", INT_SORT), PVar("y", INT_SORT))),))
         out.append(ObjectRule(
             fst, _h(RApp(b, (_h(RVar("x")), RVar("y")))),
-            "builtin-dispatch", "builtin",
-            var_sorts={"x": INT_SORT, "y": INT_SORT}, dispatch_path=(0, 0)))
+            "builtin-dispatch", "builtin", dispatch_path=(0, 0)))
     return out
 
 
@@ -300,16 +294,14 @@ def norm_rules(system):
             pvars = tuple(PVar(n, s) for n, s in zip(fresh, ctor.arg_sorts))
             rhs = RApp(ctor, tuple(RApp(N, (RVar(n),)) for n in fresh))
             out.append(ObjectRule(PApp(N, (PApp(ctor, pvars),)), rhs,
-                                  "norm-ctor", "n",
-                                  var_sorts=dict(zip(fresh, ctor.arg_sorts))))
+                                  "norm-ctor", "n"))
     for f in system.all_operations:
         section = "builtin" if f.kind == BUILTIN else "n"
         fresh = fresh_names(f.arity, set())
         pvars = tuple(PVar(n, s) for n, s in zip(fresh, f.arg_sorts))
         rhs = RApp(N, (_h(RApp(f, tuple(RVar(n) for n in fresh))),))
         out.append(ObjectRule(PApp(N, (PApp(f, pvars),)), rhs, "norm-op",
-                              section,
-                              var_sorts=dict(zip(fresh, f.arg_sorts))))
+                              section))
     lit = ObjectRule(PApp(N, (PAnyLit("a"),)), RShare((0,)), "literal-norm",
                      "builtin")
     out.append(lit)
@@ -363,18 +355,13 @@ def phase1(system, rules):
         xpath = var_paths(rule.lhs)[name]
         shared_rhs = pattern_subst(rule.rhs, hpath + (0,), RShare(xpath))
         taken = {v.name for v in pattern_vars(rule.lhs)}
-        kept_sorts = dict(rule.var_sorts)
-        del kept_sorts[name]
-        for g in system.ops_returning(rule.var_sorts[name]):
+        for g in system.ops_returning(pattern_at(rule.lhs, xpath).sort):
             fresh = fresh_names(g.arity, set(taken))
             inst_lhs = pattern_subst(
                 rule.lhs, xpath,
                 PApp(g, tuple(PVar(n, s) for n, s in
                               zip(fresh, g.arg_sorts))))
-            sorts = dict(kept_sorts)
-            sorts.update(zip(fresh, g.arg_sorts))
-            out.append(_copy(rule, inst_lhs, shared_rhs, sorts,
-                             rule.dispatch_path))
+            out.append(_copy(rule, inst_lhs, shared_rhs, rule.dispatch_path))
     return out
 
 
@@ -463,7 +450,7 @@ def phase2(rules, specialized):
             if path is not None:
                 assert path[0] == 0
                 path = path[1:]
-        out.append(_copy(rule, lhs, rhs, rule.var_sorts, path))
+        out.append(_copy(rule, lhs, rhs, path))
     return out
 
 
@@ -472,7 +459,6 @@ def phase2(rules, specialized):
 
 def _finalize(rule):
     rule.step_class = _ORIGIN_CLASS[rule.origin]
-    rule.is_literal_norm = rule.origin == "literal-norm"
     if (rule.step_class == "rewrite" and isinstance(rule.rhs, RApp)
             and rule.rhs.label.kind == SPECIALIZED):
         rule.step_class = "shortcut"

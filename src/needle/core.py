@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -61,27 +60,26 @@ N = Symbol("N", CONTROL, 1)
 
 # ---- graph nodes ------------------------------------------------------------
 
-_node_ids = itertools.count(1)
-
 
 class Node:
     """A term-graph node over a tuple of children.
 
     `forward` is None for a live node; a rewritten node points at its
     replacement (possibly transitively).  It is the only field that changes.
+    A node has no id: it hashes and compares by identity, so maps and sets
+    that need a key per node use the node itself.
     """
 
-    __slots__ = ("nid", "label", "children", "forward")
+    __slots__ = ("label", "children", "forward")
 
     def __init__(self, label, children=()):
-        self.nid = next(_node_ids)
         self.label = label
         self.children = tuple(children)
         self.forward = None
 
     def __repr__(self):
         name = self.label.name if isinstance(self.label, Symbol) else self.label
-        return f"<node {self.nid} {name}>"
+        return f"<node {id(self):#x} {name}>"
 
 
 def resolve(node):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .core import (BUILTIN, Node, PApp, PVar, RApp, RLit, RVar, Symbol,
                    acyclic, child_at, int_op, resolve)
 from .deftree import DTBranch, DTExempt, DTRule, build_all_deftrees
+from .render import path_str
 from .runtime import Replay, source_label, step_budget
 
 
@@ -66,10 +67,10 @@ def source_strategy(trees, root):
     while visit:
         node = resolve(visit.pop())
         label = node.label
-        if isinstance(label, int) or node.nid in seen:
+        if isinstance(label, int) or node in seen:
             continue
         if not label.is_op:
-            seen.add(node.nid)
+            seen.add(node)
             visit.extend(reversed(node.children))
             continue
         calls = [node]
@@ -221,7 +222,7 @@ class ValidationReport:
 def _source_copy(replay, root):
     """Copy the erased state below `root` into a fresh source graph.
 
-    Returns the source root and the image map: erased machine nid -> the
+    Returns the source root and the image map: erased machine node -> the
     source node standing for it.
     """
     image = {}
@@ -229,18 +230,17 @@ def _source_copy(replay, root):
     stack = [top]
     while stack:
         node = stack[-1]
-        if node.nid in image:
+        if node in image:
             stack.pop()
             continue
         kids = [replay.erased(c) for c in node.children]
-        todo = [k for k in kids if k.nid not in image]
+        todo = [k for k in kids if k not in image]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        image[node.nid] = Node(source_label(node.label),
-                               [image[k.nid] for k in kids])
-    return image[top.nid], image
+        image[node] = Node(source_label(node.label), [image[k] for k in kids])
+    return image[top], image
 
 
 def _same_graph(replay, machine, source, image):
@@ -261,7 +261,7 @@ def _same_graph(replay, machine, source, image):
         m = erased(pop())
         if s.forward is not None:
             s = resolve(s)
-        known = image.get(m.nid)
+        known = image.get(m)
         if known is not None:
             if known is not s:
                 return False
@@ -272,7 +272,7 @@ def _same_graph(replay, machine, source, image):
         kids = m.children
         if label != s.label or len(kids) != len(s.children):
             return False
-        image[m.nid] = s
+        image[m] = s
         for kid, source_kid in zip(kids, s.children):
             push(kid)
             push(source_kid)
@@ -315,8 +315,9 @@ def validate_trace(system, result, trees=None):
                                    "dispatch rule does not fit the redex"))
                 elif not (isinstance(sub.label, Symbol) and sub.label.is_op):
                     faults.append(("dispatch-target", f"dispatch forced a "
-                                   f"non-operation node {sub.nid}"))
-            target = image.get(redex.nid)
+                                   f"non-operation node "
+                                   f"{_where(replay, result.start, sub)}"))
+            target = image.get(redex)
             replay.apply(step)
             if target is None or not _same_graph(
                     replay, step.contractum, target, image):
@@ -332,11 +333,12 @@ def validate_trace(system, result, trees=None):
                 faults.append(("no-redex",
                                "proper step in an operation-free state"))
             elif isinstance(found, Exempt) \
-                    or image.get(redex.nid) is not found.node:
+                    or image.get(redex) is not found.node:
                 other = "an irreducible" if isinstance(found, Exempt) \
                     else "another"
-                faults.append(("not-needed", f"step fired at node "
-                               f"{redex.nid}, strategy demands {other} "
+                faults.append(("not-needed", f"step fired at "
+                               f"{_where(replay, result.start, redex)}, "
+                               f"strategy demands {other} "
                                f"{found.node.label.name} call"))
             elif src is not found.rule:
                 faults.append(("wrong-rule", f"step used rule {src}, "
@@ -358,14 +360,15 @@ def validate_trace(system, result, trees=None):
         stack = [result.start]
         while stack:
             node = replay.resolve(stack.pop())
-            if node.nid in seen:
+            if node in seen:
                 continue
-            seen.add(node.nid)
+            seen.add(node)
             label = node.label
             if isinstance(label, Symbol) and not label.is_data:
                 violations.append(Violation(
                     len(result.trace), "wrapper-in-value",
-                    f"final state contains {label.name} at node {node.nid}"))
+                    f"final state contains "
+                    f"{_where(replay, result.start, node)}"))
                 break
             stack.extend(node.children)
     return ValidationReport(violations, proper)
@@ -379,3 +382,33 @@ def _forced(replay, redex, path):
             return None
         node = replay.resolve(node.children[j])
     return node
+
+
+def _where(replay, root, node):
+    """`node`'s label and its leftmost-outermost path below `root` in the
+    replayed machine state, as `needle eval --trace` prints that state:
+    `append^H @1.2`, `N at the root`.  Made only for a violation's text."""
+    via = {}  # node -> (parent, child index) on its leftmost path
+    stack = [(replay.resolve(root), None, 0)]
+    while stack:
+        cur, up, i = stack.pop()
+        if cur in via:
+            continue
+        via[cur] = (up, i)
+        if cur is node:
+            break
+        kids = cur.children
+        stack += [(replay.resolve(kids[j]), cur, j)
+                  for j in range(len(kids) - 1, -1, -1)]
+    label = node.label
+    name = label.name if label.__class__ is Symbol else str(label)
+    if node not in via:
+        return f"{name} (not in the state)"
+    path = []
+    up, i = via[node]
+    while up is not None:
+        path.append(i)
+        up, i = via[up]
+    if not path:
+        return f"{name} at the root"
+    return f"{name} @{path_str(reversed(path))}"

@@ -139,7 +139,7 @@ def format_program(program):
 # ---- definitional trees ---------------------------------------------------------
 
 
-def _path_str(path):
+def path_str(path):
     return ".".join(str(i + 1) for i in path)
 
 
@@ -165,7 +165,7 @@ def format_tree(tree, indent=0):
                 sort, cases = "Int", list(tree.children)
                 if tree.default is not None:
                     cases.append(("default", tree.default))
-            lines.append(f"{pad}branch @{_path_str(tree.path)} ({sort})")
+            lines.append(f"{pad}branch @{path_str(tree.path)} ({sort})")
             for key, sub in reversed(cases):
                 stack += [(sub, indent + 2), (f"{key}:", indent + 1)]
     return lines

@@ -158,10 +158,10 @@ class Replay:
     """
 
     def __init__(self):
-        self.forward = {}  # redex nid -> contractum
+        self.forward = {}  # redex node -> contractum
 
     def apply(self, step):
-        self.forward[step.redex.nid] = step.contractum
+        self.forward[step.redex] = step.contractum
 
     def resolve(self, node):
         """Follow the replacements applied so far, compressing the path.
@@ -171,11 +171,11 @@ class Replay:
         """
         forward = self.forward
         target = node
-        while target.nid in forward:
-            target = forward[target.nid]
+        while target in forward:
+            target = forward[target]
         while node is not target:
-            nxt = forward[node.nid]
-            forward[node.nid] = target
+            nxt = forward[node]
+            forward[node] = target
             node = nxt
         return target
 
@@ -183,7 +183,7 @@ class Replay:
         """The node `node` stands for once evaluation wrappers are spliced out."""
         forward = self.forward
         while True:
-            if node.nid in forward:
+            if node in forward:
                 node = self.resolve(node)
             label = node.label
             if label is not H and label is not N:
@@ -439,10 +439,21 @@ class Evaluator:
                 push(target)
         self.counters = Counters(*by_class, matches, allocs, created)
         if outcome is None:
-            raise NoRuleError(f"no rule matches {label.name} node {node.nid}")
+            raise NoRuleError(f"no rule matches {_shape(node)}")
         return EvalResult(outcome, resolve(root), self.counters,
                           steps, self.program, trace,
                           root if trace is not None else None, abort_rule)
+
+
+def _shape(node):
+    """`node`'s label over its children's labels, as `N node over 7`: the
+    text of a NoRuleError, which has no root path to name."""
+    text = f"{node.label.name} node"
+    kids = [resolve(kid).label for kid in node.children]
+    if not kids:
+        return text
+    return text + " over " + ", ".join(
+        str(k) if k.__class__ is int else k.name for k in kids)
 
 
 @acyclic

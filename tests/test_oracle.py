@@ -188,3 +188,51 @@ def test_validation_reports_rather_than_raises_on_moved_rules(systems,
             res.trace[a].rule = rules[b]
             report = validate_trace(systems["length"], res)
             assert not report.ok, (mode, a, b)
+
+
+def test_a_step_out_of_order_is_named_by_its_path(systems, programs):
+    # the second mirror call's steps moved ahead of the first one's
+    expected = {"cr": "mirror @2.1.1", "tr": "mirror^H @2.1",
+                "or": "mirror^H @2.1"}
+    for mode, where in expected.items():
+        expr, _ = parse_expr(systems["tree"],
+                             "Fork(mirror(Leaf), mirror(Leaf))")
+        res = evaluate(programs("tree", mode), expr, trace=True)
+        assert [s.rule.origin for s in res.trace[:6]] == [
+            "norm-ctor", "norm-op", "ctor-rooted",
+            "norm-ctor", "norm-op", "ctor-rooted"]
+        res.trace[1:1] = [res.trace.pop(4), res.trace.pop(4)]
+        report = validate_trace(systems["tree"], res)
+        assert [str(v) for v in report.violations] == [
+            f"step 2: not-needed: step fired at {where}, strategy demands "
+            f"another mirror call"], mode
+
+
+def test_a_dispatch_onto_a_constructor_is_named_by_its_path(systems,
+                                                            programs):
+    expected = {"cr": "Cons @1.1.1", "tr": "Cons @1.1", "or": "Cons @1.1"}
+    for mode, where in expected.items():
+        program = programs("length", mode)
+        expr, _ = parse_expr(systems["length"], "length(Cons(4, Nil))")
+        res = evaluate(program, expr, trace=True)
+        assert res.trace[1].rule.origin == "op-rooted"
+        # H(length(x)) in cr, length^H(append(u, v)) in tr and or
+        (dispatch,) = [r for r in program.rules if r.origin == "dispatch"
+                       and "length" in (r.head.name.removesuffix("^H"),
+                                        r.lhs.args[0].label.name)]
+        res.trace[1].rule = dispatch
+        report = validate_trace(systems["length"], res)
+        first = report.violations[0]
+        assert str(first) == (f"step 1: dispatch-target: dispatch forced a "
+                              f"non-operation node {where}"), mode
+
+
+def test_a_wrapper_left_in_the_value_is_named_by_its_path(systems, programs):
+    for mode in ("cr", "tr", "or"):
+        expr, _ = parse_expr(systems["length"], "Cons(length(Nil), Nil)")
+        res = evaluate(programs("length", mode), expr, trace=True)
+        assert res.trace[3].rule.origin == "literal-norm"
+        del res.trace[3]
+        report = validate_trace(systems["length"], res)
+        assert [str(v) for v in report.violations] == [
+            "step 4: wrapper-in-value: final state contains N @1"], mode

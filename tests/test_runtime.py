@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -242,11 +243,30 @@ def test_node_children_are_immutable():
 
 
 def test_incomplete_programs_raise_no_rule_error(systems):
-    program = build_program(systems["append"], "cr")
+    # the text names the node's label and its children's labels
+    system = systems["append"]
+    program = build_program(system, "cr")
     program.rules = [r for r in program.rules if r.origin != "literal-norm"]
-    expr, _ = parse_expr(systems["append"], "7")
-    with pytest.raises(NoRuleError, match="no rule matches"):
-        evaluate(program, expr)
+    with pytest.raises(NoRuleError) as err:
+        evaluate(program, parse_expr(system, "7")[0])
+    assert str(err.value) == "no rule matches N node over 7"
+    program = build_program(system, "tr")
+    program.rules = [r for r in program.rules if r.head.name != "append^H"]
+    with pytest.raises(NoRuleError) as err:
+        evaluate(program, parse_expr(system, "append(Nil, Cons(1, Nil))")[0])
+    assert str(err.value) == "no rule matches append^H node over Nil, Cons"
+
+
+def test_a_leaf_node_takes_at_most_64_bytes():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        leaves = [Node(1) for _ in range(100_000)]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    per_node = (used - sys.getsizeof(leaves)) / len(leaves)
+    assert per_node <= 64, per_node
 
 
 def test_compiled_rule_caches_fill_on_first_use(systems):
