@@ -27,9 +27,7 @@ from typing import Optional
 from .core import (
     BUILTIN,
     CONSTRUCTOR,
-    CONTROL,
     INT_SORT,
-    OPERATION,
     SPECIALIZED,
     H,
     N,
@@ -43,7 +41,6 @@ from .core import (
     RVar,
     Symbol,
     acyclic,
-    fresh_names,
     pattern_at,
     pattern_subst,
     pattern_vars,
@@ -118,7 +115,6 @@ class ObjectProgram:
     mode: str
     rules: list
     trees: dict
-    demanded: dict
     specialized: dict  # operation Symbol -> its f^H Symbol (tr/or only)
     rule_groups: Optional[dict] = None  # filled lazily by the evaluator
 
@@ -150,6 +146,32 @@ def _h(template):
     return RApp(H, (template,))
 
 
+_FRESH_POOL = ("u", "v", "w", "z")
+
+
+def _fresh_names(count, taken):
+    """`count` variable names not in `taken`, which they are added to."""
+    names = []
+    suffix = 0
+    while len(names) < count:
+        for base in _FRESH_POOL:
+            cand = base if suffix == 0 else f"{base}{suffix}"
+            if cand not in taken:
+                taken.add(cand)
+                names.append(cand)
+                if len(names) == count:
+                    break
+        suffix += 1
+    return names
+
+
+def _fresh_app(label, taken=()):
+    """`label` over fresh variables of its argument sorts, named apart from
+    the names in `taken`."""
+    names = _fresh_names(label.arity, set(taken))
+    return PApp(label, tuple(map(PVar, names, label.arg_sorts)))
+
+
 # ---- head-normalization rules for one operation ------------------------------
 
 
@@ -175,16 +197,15 @@ def compile_operation(system, op, tree, demanded, wrap):
             stack.append(_dispatch_rule(pattern, tree.path))
             taken = {v.name for v in pattern_vars(pattern)}
             if isinstance(tree, DTBranch):
-                subs = [(sub, pattern_subst(pattern, tree.path, PApp(
-                    ctor, tuple(map(PVar, fresh_names(ctor.arity, set(taken)),
-                                    ctor.arg_sorts)))))
+                subs = [(sub, pattern_subst(pattern, tree.path,
+                                            _fresh_app(ctor, taken)))
                         for ctor, sub in tree.children]
             else:
                 if tree.default is not None:
                     stack.append((tree.default, pattern))
                 else:
                     guarded = pattern_subst(pattern, tree.path, PAnyLit(
-                        fresh_names(1, taken)[0]))
+                        _fresh_names(1, taken)[0]))
                     stack.append(ObjectRule(PApp(H, (guarded,)), None,
                                             "exempt", "h"))
                 subs = [(sub, pattern_subst(pattern, tree.path, PLit(value)))
@@ -226,22 +247,15 @@ def _collapse_rules(system, rule, lhs_inner, var_name):
     pos = var_paths(lhs_inner)[var_name]
     lhs = PApp(H, (lhs_inner,))
     share = RShare((0,) + pos)
-    sort = rule.var_sorts[var_name]
-    out = []
+    sort = pattern_at(lhs_inner, pos).sort
     if sort == INT_SORT:
-        guarded = pattern_subst(lhs_inner, pos, PAnyLit(var_name))
-        out.append(ObjectRule(PApp(H, (guarded,)), share, "collapse-instance",
-                              "h", source=rule))
+        roots = [PAnyLit(var_name)]
     else:
         taken = {v.name for v in pattern_vars(lhs_inner)}
-        for ctor in system.sorts[sort]:
-            fresh = fresh_names(ctor.arity, set(taken))
-            inst = pattern_subst(
-                lhs_inner, pos,
-                PApp(ctor, tuple(PVar(n, s) for n, s in
-                                 zip(fresh, ctor.arg_sorts))))
-            out.append(ObjectRule(PApp(H, (inst,)), share, "collapse-instance",
-                                  "h", source=rule))
+        roots = [_fresh_app(ctor, taken) for ctor in system.sorts[sort]]
+    out = [ObjectRule(PApp(H, (pattern_subst(lhs_inner, pos, root),)), share,
+                      "collapse-instance", "h", source=rule)
+           for root in roots]
     out.append(ObjectRule(lhs, _h(RVar(var_name)), "collapse-default", "h",
                           source=rule))
     return out
@@ -290,18 +304,15 @@ def norm_rules(system):
     out = []
     for sort, ctors in system.sorts.items():
         for ctor in ctors:
-            fresh = fresh_names(ctor.arity, set())
-            pvars = tuple(PVar(n, s) for n, s in zip(fresh, ctor.arg_sorts))
-            rhs = RApp(ctor, tuple(RApp(N, (RVar(n),)) for n in fresh))
-            out.append(ObjectRule(PApp(N, (PApp(ctor, pvars),)), rhs,
-                                  "norm-ctor", "n"))
+            pattern = _fresh_app(ctor)
+            rhs = RApp(ctor, tuple(RApp(N, (RVar(v.name),))
+                                   for v in pattern.args))
+            out.append(ObjectRule(PApp(N, (pattern,)), rhs, "norm-ctor", "n"))
     for f in system.all_operations:
         section = "builtin" if f.kind == BUILTIN else "n"
-        fresh = fresh_names(f.arity, set())
-        pvars = tuple(PVar(n, s) for n, s in zip(fresh, f.arg_sorts))
-        rhs = RApp(N, (_h(RApp(f, tuple(RVar(n) for n in fresh))),))
-        out.append(ObjectRule(PApp(N, (PApp(f, pvars),)), rhs, "norm-op",
-                              section))
+        pattern = _fresh_app(f)
+        rhs = RApp(N, (_h(_template_of_pattern(pattern)),))
+        out.append(ObjectRule(PApp(N, (pattern,)), rhs, "norm-op", section))
     lit = ObjectRule(PApp(N, (PAnyLit("a"),)), RShare((0,)), "literal-norm",
                      "builtin")
     out.append(lit)
@@ -356,11 +367,7 @@ def phase1(system, rules):
         shared_rhs = pattern_subst(rule.rhs, hpath + (0,), RShare(xpath))
         taken = {v.name for v in pattern_vars(rule.lhs)}
         for g in system.ops_returning(pattern_at(rule.lhs, xpath).sort):
-            fresh = fresh_names(g.arity, set(taken))
-            inst_lhs = pattern_subst(
-                rule.lhs, xpath,
-                PApp(g, tuple(PVar(n, s) for n, s in
-                              zip(fresh, g.arg_sorts))))
+            inst_lhs = pattern_subst(rule.lhs, xpath, _fresh_app(g, taken))
             out.append(_copy(rule, inst_lhs, shared_rhs, rule.dispatch_path))
     return out
 
@@ -522,4 +529,4 @@ def build_program(system, mode):
         rules = phase2(rules, specialized)
         _assert_no_h(rules)
     rules = [_finalize(r) for r in rules]
-    return ObjectProgram(system, mode, rules, trees, demanded, specialized)
+    return ObjectProgram(system, mode, rules, trees, specialized)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 # ---- symbols ----------------------------------------------------------------
@@ -197,25 +197,6 @@ def var_paths(p):
     return paths
 
 
-_FRESH_POOL = ("u", "v", "w", "z")
-
-
-def fresh_names(count, taken):
-    """`count` variable names not in `taken`, which they are added to."""
-    names = []
-    suffix = 0
-    while len(names) < count:
-        for base in _FRESH_POOL:
-            cand = base if suffix == 0 else f"{base}{suffix}"
-            if cand not in taken:
-                taken.add(cand)
-                names.append(cand)
-                if len(names) == count:
-                    break
-        suffix += 1
-    return names
-
-
 # ---- right-hand-side templates ----------------------------------------------
 
 
@@ -262,7 +243,6 @@ class SourceRule:
     lhs: PApp
     rhs: Template
     index: int
-    var_sorts: dict = field(default_factory=dict)
 
     def __repr__(self):
         return f"SourceRule({self.op.name}#{self.index})"

@@ -7,6 +7,10 @@ remaining rule demands a pattern; systems for which no such position exists
 are rejected.  Branching on integers supports a `default` child for rules
 with a variable at the branch position.
 
+A tree is built over argument positions, not patterns: each node knows only
+the paths and sorts of the positions its branches above left open.  It names
+no variable; `codegen` builds and names the pattern each node stands for.
+
 `demanded_args` reads off the argument positions every path inspects; the
 compiler uses them, and the source strategy in `oracle.py` walks the trees
 themselves to find needed redexes.
@@ -17,18 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    BUILTIN,
-    INT_SORT,
-    NeedleError,
-    PApp,
-    PLit,
-    PVar,
-    fresh_names,
-    pattern_at,
-    pattern_subst,
-    var_paths,
-)
+from .core import BUILTIN, INT_SORT, NeedleError, PApp, PLit, PVar, pattern_at
 
 
 class DefTreeError(NeedleError):
@@ -83,12 +76,12 @@ def build_deftree(system, op):
     rules = system.rules.get(op, [])
     if not rules:
         return DTExempt()
-    args = tuple(map(PVar, fresh_names(op.arity, set()), op.arg_sorts))
-    root, subtasks = _split(system, op, PApp(op, args), list(rules), ())
+    positions = tuple(((i,), sort) for i, sort in enumerate(op.arg_sorts))
+    root, subtasks = _split(system, op, positions, list(rules), ())
     todo = [(root, *task) for task in reversed(subtasks)]
     while todo:
-        parent, index, pattern, rules, guards = todo.pop()
-        tree, subtasks = _split(system, op, pattern, rules, guards)
+        parent, index, positions, rules, guards = todo.pop()
+        tree, subtasks = _split(system, op, positions, rules, guards)
         if index is None:
             parent.default = tree
         else:
@@ -97,16 +90,18 @@ def build_deftree(system, op):
     return root
 
 
-def _split(system, op, pattern, rules, guards):
-    """The tree node for `rules` refining `pattern`, and its subtrees to
-    build as (child index, pattern, rules, guards)."""
-    paths = var_paths(pattern)
-    # Every rule is an instance of `pattern`, so a rule that has a variable
-    # in each column (one per variable of the pattern) is a variant of it.
-    columns = [(path, [pattern_at(r.lhs, path) for r in rules])
-               for path in paths.values()]
-    variants = [r for k, r in enumerate(rules)
-                if all(isinstance(subs[k], PVar) for _, subs in columns)]
+def _split(system, op, positions, rules, guards):
+    """The tree node for `rules` over the open argument `positions`, and its
+    subtrees to build as (child index, positions, rules, guards).
+
+    `positions` holds the (path, sort) of each argument position no branch
+    above has fixed, leftmost-outermost first."""
+    # Every rule agrees with the branches above, so a rule that has a
+    # variable at each open position is a variant of every other such rule.
+    columns = [[pattern_at(r.lhs, path) for r in rules]
+               for path, _ in positions]
+    variants = [r for j, r in enumerate(rules)
+                if all(isinstance(subs[j], PVar) for subs in columns)]
     if len(variants) > 1:
         raise DuplicateRule(
             f"operation {op.name!r}: rules {variants[0].index + 1} and "
@@ -115,19 +110,18 @@ def _split(system, op, pattern, rules, guards):
         return DTRule(variants[0], guards), ()
 
     # Strict inductive position: every rule has a constructor or literal.
-    for path, subs in columns:
+    for k, subs in enumerate(columns):
         if all(isinstance(s, PApp) for s in subs):
-            return _ctor_branch(system, op, pattern, set(paths), rules, path,
-                                subs, guards)
+            return _ctor_branch(system, op, positions, k, rules, subs, guards)
         if all(isinstance(s, PLit) for s in subs):
-            return _int_branch(pattern, rules, path, subs, guards, False)
+            return _int_branch(positions, k, rules, subs, guards, False)
     # Relaxed integer position: literals plus at least one variable rule.
-    # A rule whose left side is a variant of the pattern is legal here: it
+    # A rule with a variable at every open position is legal here: it
     # becomes the branch default, applicable only when no literal matches.
-    for path, subs in columns:
+    for k, subs in enumerate(columns):
         if (any(isinstance(s, PLit) for s in subs)
                 and all(isinstance(s, (PLit, PVar)) for s in subs)):
-            return _int_branch(pattern, rules, path, subs, guards, True)
+            return _int_branch(positions, k, rules, subs, guards, True)
     if variants:
         others = [r for r in rules if r is not variants[0]]
         first, second = sorted([variants[0].index, others[0].index])
@@ -139,8 +133,10 @@ def _split(system, op, pattern, rules, guards):
         f"rules {sorted(r.index + 1 for r in rules)}")
 
 
-def _ctor_branch(system, op, pattern, taken, rules, path, subs, guards):
-    sort = pattern_at(pattern, path).sort
+def _ctor_branch(system, op, positions, k, rules, subs, guards):
+    """Each child opens its constructor's argument positions in place of
+    position `k`."""
+    path, sort = positions[k]
     if sort == INT_SORT:
         raise NotInductivelySequential(
             f"operation {op.name!r}: constructor pattern at an Int position")
@@ -148,15 +144,19 @@ def _ctor_branch(system, op, pattern, taken, rules, path, subs, guards):
     for ctor in system.sorts[sort]:
         sub_rules = [r for r, sub in zip(rules, subs) if sub.label is ctor]
         if sub_rules:
-            fresh = fresh_names(ctor.arity, set(taken))
-            arg = PApp(ctor, tuple(map(PVar, fresh, ctor.arg_sorts)))
-            subtasks.append((len(children), pattern_subst(pattern, path, arg),
+            args = tuple((path + (i,), arg_sort)
+                         for i, arg_sort in enumerate(ctor.arg_sorts))
+            subtasks.append((len(children),
+                             positions[:k] + args + positions[k + 1:],
                              sub_rules, guards))
         children.append((ctor, DTExempt()))
     return DTBranch(path, sort, children), subtasks
 
 
-def _int_branch(pattern, rules, path, subs, guards, with_default):
+def _int_branch(positions, k, rules, subs, guards, with_default):
+    """Each literal child closes position `k`; the default keeps it open."""
+    path = positions[k][0]
+    rest = positions[:k] + positions[k + 1:]
     lits = []
     for sub in subs:
         if isinstance(sub, PLit) and sub.value not in lits:
@@ -165,12 +165,11 @@ def _int_branch(pattern, rules, path, subs, guards, with_default):
     for i, value in enumerate(lits):
         sub_rules = [r for r, sub in zip(rules, subs)
                      if isinstance(sub, PLit) and sub.value == value]
-        subtasks.append((i, pattern_subst(pattern, path, PLit(value)),
-                         sub_rules, guards))
+        subtasks.append((i, rest, sub_rules, guards))
     if with_default:
         var_rules = [r for r, sub in zip(rules, subs) if isinstance(sub, PVar)]
         if var_rules:
-            subtasks.append((None, pattern, var_rules, guards + (path,)))
+            subtasks.append((None, positions, var_rules, guards + (path,)))
     return DTIntBranch(path, [(value, None) for value in lits]), subtasks
 
 

@@ -53,9 +53,9 @@ class SourceError(NeedleError):
 # The deepest nesting of argument lists in a rule side.  No walk recurses over
 # rule sides, so the bound is not about the stack; it caps compile cost.  A
 # left side n deep compiles to about 2n object rules of up to n nodes each: at
-# n = 999, `needle compile` prints 2,000 rules (4.5 MB) in about 7 s in cr and
-# 13 s in tr (2-core x86-64 VM shared with other tenants, CPython 3.11), three
-# to four times what n = 500 takes.
+# n = 999, `needle compile` prints 2,000 rules (4.5 MB) in about 5 s in cr and
+# 10 s in tr (2-core x86-64 VM shared with other tenants, CPython 3.11), about
+# four times what n = 500 takes.
 # Ground expressions are unlimited.
 MAX_RULE_DEPTH = 1000
 
@@ -281,7 +281,7 @@ class _Parser:
         rhs = self.check_side(
             rhs_raw, op.result_sort, lambda sym, args, *_: RApp(sym, args),
             partial(self.check_rhs, var_sorts=var_sorts))
-        rule = SourceRule(op, lhs, rhs, len(self.system.rules[op]), var_sorts)
+        rule = SourceRule(op, lhs, rhs, len(self.system.rules[op]))
         self.system.rules[op].append(rule)
 
     def parse_term(self):

@@ -329,122 +329,6 @@ def _application(label, kids):
 # ---- the evaluator ------------------------------------------------------------
 
 
-class Evaluator:
-    """One run of an object program: `run` evaluates from a root once."""
-
-    def __init__(self, program, max_steps=None, trace=False):
-        self.program = program
-        self.max_steps = step_budget(max_steps)
-        self.trace = [] if trace else None
-        if program.rule_groups is None:
-            program.rule_groups = _compile_groups(program.rules)
-        self.groups = program.rule_groups
-
-    def run(self, root):
-        """Rewrite until the worklist is empty, an exempt rule aborts, or the
-        budget runs out.
-
-        Each step selects the first matching rule of the node's group.
-        Every node-label fetch is counted once per selection (the redex
-        root label is already known from scheduling and is free).  The
-        counters are kept in locals and stored on `counters` when the loop
-        ends, also before NoRuleError is raised.  An exception raised inside
-        the loop (integer overflow, memory) leaves them unstored: the run is
-        lost, and allocating on that path can fail again.
-        """
-        stack = [root]
-        pop = stack.pop
-        push = stack.append
-        get_group = self.groups.get
-        trace = self.trace
-        max_steps = self.max_steps
-        fetched = set()
-        by_class = [0, 0, 0, 0]  # rewrite, shortcut, dispatch and norm steps
-        steps = matches = allocs = created = 0
-        outcome, abort_rule = "value", None
-        while stack:
-            node = pop()
-            fetched.clear()
-            label = node.label
-            if label is H or label is N:
-                child = node.children[0]
-                if child.forward is not None:
-                    child = resolve(child)
-                clabel = child.label
-                nslots, entries = get_group(
-                    (label, clabel if clabel.__class__ is Symbol else int),
-                    _NO_RULES)
-                matches += 1
-                slots = [None] * nslots
-                slots[1] = child
-                fetched.add(child)
-            else:
-                nslots, entries = get_group(label, _NO_RULES)
-                slots = [None] * nslots
-            slots[0] = node
-            fetches = 0
-            for entry in entries:
-                for op, slot, parent, idx, payload in entry[0]:
-                    target = slots[slot]
-                    if target is None:
-                        target = slots[parent].children[idx]
-                        if target.forward is not None:
-                            target = resolve(target)
-                        slots[slot] = target
-                    if op == _VAR:
-                        continue
-                    if target not in fetched:
-                        fetched.add(target)
-                        fetches += 1
-                    if op == _APP:
-                        if target.label is not payload:
-                            break
-                    else:  # _LIT or _ANYLIT
-                        tlabel = target.label
-                        if tlabel.__class__ is not int \
-                                or (op == _LIT and tlabel != payload):
-                            break
-                else:
-                    break
-            else:  # no rule matches: a compiler invariant broke
-                outcome = None
-                break
-            matches += fetches
-            _, cls, rule_allocs, rule_created, build, var_slots, fresh, \
-                rule = entry
-            if cls < 0:  # exempt: no rule can ever apply here
-                outcome, abort_rule = "aborted", rule
-                break
-            if steps >= max_steps:
-                outcome = "steplimit"
-                break
-            steps += 1
-            by_class[cls] += 1
-            allocs += rule_allocs
-            if __debug__:
-                for slot in var_slots:
-                    blabel = slots[slot].label
-                    assert not (blabel.__class__ is Symbol
-                                and blabel.kind in _EVALUABLE_KINDS), \
-                        "innermost discipline violated"
-            created += rule_created
-            replacement = build(slots)
-            node.forward = replacement
-            if trace is not None:
-                trace.append(TraceStep(rule, node, replacement))
-            for path in fresh:
-                target = replacement
-                for i in path:
-                    target = target.children[i]
-                push(target)
-        self.counters = Counters(*by_class, matches, allocs, created)
-        if outcome is None:
-            raise NoRuleError(f"no rule matches {_shape(node)}")
-        return EvalResult(outcome, resolve(root), self.counters,
-                          steps, self.program, trace,
-                          root if trace is not None else None, abort_rule)
-
-
 def _shape(node):
     """`node`'s label over its children's labels, as `N node over 7`: the
     text of a NoRuleError, which has no root path to name."""
@@ -462,6 +346,106 @@ def evaluate(program, expr, max_steps=None, trace=False):
 
     `expr` must hold no `H`, `N` or `f^H` node (`parse_expr` output never
     does): only the root `N` and the nodes rules create are scheduled.
+
+    The run rewrites until the worklist is empty, an exempt rule aborts, or
+    the budget runs out.  Each step selects the first matching rule of the
+    node's group.  Every node-label fetch is counted once per selection (the
+    redex root label is already known from scheduling and is free).  The
+    counters are kept in locals and become a `Counters` once, after the
+    loop.  An exception raised inside the loop (integer overflow, memory)
+    skips that: the run is lost, and allocating on that path can fail again.
     """
+    max_steps = step_budget(max_steps)
+    trace = [] if trace else None
+    if program.rule_groups is None:
+        program.rule_groups = _compile_groups(program.rules)
     root = Node(N, (expr,))
-    return Evaluator(program, max_steps=max_steps, trace=trace).run(root)
+    stack = [root]
+    pop = stack.pop
+    push = stack.append
+    get_group = program.rule_groups.get
+    fetched = set()
+    by_class = [0, 0, 0, 0]  # rewrite, shortcut, dispatch and norm steps
+    steps = matches = allocs = created = 0
+    outcome, abort_rule = "value", None
+    while stack:
+        node = pop()
+        fetched.clear()
+        label = node.label
+        if label is H or label is N:
+            child = node.children[0]
+            if child.forward is not None:
+                child = resolve(child)
+            clabel = child.label
+            nslots, entries = get_group(
+                (label, clabel if clabel.__class__ is Symbol else int),
+                _NO_RULES)
+            matches += 1
+            slots = [None] * nslots
+            slots[1] = child
+            fetched.add(child)
+        else:
+            nslots, entries = get_group(label, _NO_RULES)
+            slots = [None] * nslots
+        slots[0] = node
+        fetches = 0
+        for entry in entries:
+            for op, slot, parent, idx, payload in entry[0]:
+                target = slots[slot]
+                if target is None:
+                    target = slots[parent].children[idx]
+                    if target.forward is not None:
+                        target = resolve(target)
+                    slots[slot] = target
+                if op == _VAR:
+                    continue
+                if target not in fetched:
+                    fetched.add(target)
+                    fetches += 1
+                if op == _APP:
+                    if target.label is not payload:
+                        break
+                else:  # _LIT or _ANYLIT
+                    tlabel = target.label
+                    if tlabel.__class__ is not int \
+                            or (op == _LIT and tlabel != payload):
+                        break
+            else:
+                break
+        else:  # no rule matches: a compiler invariant broke
+            outcome = None
+            break
+        matches += fetches
+        _, cls, rule_allocs, rule_created, build, var_slots, fresh, \
+            rule = entry
+        if cls < 0:  # exempt: no rule can ever apply here
+            outcome, abort_rule = "aborted", rule
+            break
+        if steps >= max_steps:
+            outcome = "steplimit"
+            break
+        steps += 1
+        by_class[cls] += 1
+        allocs += rule_allocs
+        if __debug__:
+            for slot in var_slots:
+                blabel = slots[slot].label
+                assert not (blabel.__class__ is Symbol
+                            and blabel.kind in _EVALUABLE_KINDS), \
+                    "innermost discipline violated"
+        created += rule_created
+        replacement = build(slots)
+        node.forward = replacement
+        if trace is not None:
+            trace.append(TraceStep(rule, node, replacement))
+        for path in fresh:
+            target = replacement
+            for i in path:
+                target = target.children[i]
+            push(target)
+    if outcome is None:
+        raise NoRuleError(f"no rule matches {_shape(node)}")
+    return EvalResult(outcome, resolve(root),
+                      Counters(*by_class, matches, allocs, created), steps,
+                      program, trace, root if trace is not None else None,
+                      abort_rule)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from needle import build_program
+from needle import build_all_deftrees, build_program, parse_system
 from needle.codegen import phase1, phase2
 from needle.core import CONTROL, SPECIALIZED, H, PAnyLit
-from needle.render import format_rule
+from needle.render import format_program, format_rule, format_trees
+
+from conftest import golden
 
 
 def rules_in(program, section):
@@ -205,3 +207,36 @@ def test_builtin_leaf_rules_know_their_operands(programs):
 def test_build_program_rejects_unknown_modes(systems):
     with pytest.raises(AssertionError):
         build_program(systems["append"], "xx")
+
+
+# ---- variable names ------------------------------------------------------------
+
+# Corpus operations have arity 2 or less.  This one has arity 6, branches on
+# a constructor below the root, and has an Int branch with a default and
+# one without.
+WIDE = """
+data T = A | B(T, T);
+
+op g(T, Int) -> T:
+    g(x, 0) = B(x, A)
+    g(x, 1) = x;
+
+op f(T, Int, T, Int, Int, T) -> Int:
+    f(A, n, t, k, 0, s) = n
+    f(A, n, t, k, 1, s) = k
+    f(A, n, t, k, m, s) = add(m, 1)
+    f(B(A, r), n, t, k, m, s) = n
+    f(B(B(p, q), r), n, t, k, m, B(a, b)) = k
+    f(B(B(p, q), r), n, t, k, m, A) = m;
+"""
+
+
+def test_variable_names_of_a_wide_operation():
+    """Root variables are x, y, z, w, x5, x6; refinements take fresh names
+    from u, v, w, z, then u1, v1, w1, z1, ..."""
+    system = parse_system(WIDE, "wide")
+    trees = build_all_deftrees(system)
+    assert format_trees(system, trees) == golden("wide_tree.txt")
+    for mode in ("cr", "tr"):
+        assert format_program(build_program(system, mode)) == \
+            golden(f"wide_{mode}.txt")

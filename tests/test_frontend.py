@@ -135,7 +135,7 @@ def test_wildcards_become_distinct_variables():
     rule = system.rules[system.symbols["zero"]][0]
     pats = rule.lhs.args[0].args
     assert [p.name for p in pats] == ["_", "_2"]
-    assert rule.var_sorts == {"_": "Int", "_2": "Int"}
+    assert [p.sort for p in pats] == ["Int", "Int"]
 
 
 def test_right_side_checks():

@@ -2,7 +2,8 @@
 
 A static check finds every cycle in the package's call graph, and a child
 interpreter left at CPython's default recursion limit takes rule sides at the
-parser's depth bound through every command.
+parser's depth bound through every command.  One more static check, beside
+these, finds imported names a module never uses.
 """
 
 from __future__ import annotations
@@ -68,6 +69,27 @@ def test_no_function_reaches_itself():
                 seen.add(fn)
                 stack.extend(graph[fn])
     assert cycles == []
+
+
+def test_every_imported_name_is_used():
+    """A module uses each name it imports, or re-exports it in `__all__`."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0]
+                           not in used]
+    assert unused == []
 
 
 def test_the_recursion_limit_is_left_alone():
