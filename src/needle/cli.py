@@ -31,8 +31,8 @@ EXIT_ABORTED = 3
 EXIT_STEP_LIMIT = 4
 
 # The default budget of a traced run (`eval --trace`, `validate`), which keeps
-# every step: `needle validate` of a divergent input then stops in about 5 s
-# and 170 MB on a 2-core x86-64 VM, where 10^8 steps would fill memory.
+# every step: `needle validate` of a divergent input then stops in about 3 s
+# and 110 MB on a 2-core x86-64 VM, where 10^8 steps would fill memory.
 TRACED_MAX_STEPS = 250_000
 
 

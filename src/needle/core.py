@@ -66,6 +66,9 @@ class Node:
 
     `forward` is None for a live node; a rewritten node points at its
     replacement (possibly transitively).  It is the only field that changes.
+    The evaluators forward a node they still hold straight to its newest
+    replacement, so a superseded contractum loses its last reference and
+    is freed: an untraced run holds the live graph, not the derivation.
     A node has no id: it hashes and compares by identity, so maps and sets
     that need a key per node use the node itself.
     """
@@ -83,7 +86,11 @@ class Node:
 
 
 def resolve(node):
-    """Follow forwarding pointers; compresses the path as it goes."""
+    """Follow forwarding pointers; compresses the path as it goes.
+
+    Compressing is what frees the nodes in between: once nothing else
+    holds them, reference counting reclaims them.
+    """
     target = node
     while target.forward is not None:
         target = target.forward

@@ -60,12 +60,15 @@ def source_strategy(trees, root):
     constructor still to be visited and every call waiting on a demanded
     argument as it was.  So after one, the waiting call re-reads its argument,
     or, if the redex was the visited node itself, that position is visited
-    again.
+    again.  The walk keeps the entry it popped, not the node that entry
+    resolved to, so each visit shortens the entry's forward chain and the
+    superseded contracta are freed.
     """
     visit = [root]
     seen = set()  # constructor nodes already visited: their graphs are done
     while visit:
-        node = resolve(visit.pop())
+        held = visit.pop()
+        node = resolve(held)
         label = node.label
         if isinstance(label, int) or node in seen:
             continue
@@ -81,7 +84,7 @@ def source_strategy(trees, root):
                 continue
             yield found
             calls.pop()
-        visit.append(node)
+        visit.append(held)  # its next `resolve` shortens its chain
 
 
 def _demand(trees, node):

@@ -11,6 +11,15 @@ fires on it.  The loop is iterative (inputs of any depth evaluate without
 recursion) and runs with CPython's cyclic garbage collector paused
 (`core.acyclic`).
 
+When a contractum's root is itself evaluable, the step pushes the node it
+popped back in its place.  Popped again, that node forwards one hop to the
+live node; the rule fires there, and both nodes are forwarded to the new
+contractum.  So the node a parent holds always forwards straight to the
+newest contractum, each superseded one loses its last reference and is
+freed, and an untraced run holds only the live graph and its pending
+wrappers: a divergent run takes constant memory.  The rewrite log names
+the live node as each step's redex.
+
 The first evaluation of a program compiles its rules into slot code, one
 group per redex shape, that later evaluations reuse.  Rule selection runs
 inside the loop, not in a call of its own.  A selection fills one list of
@@ -369,7 +378,8 @@ def evaluate(program, expr, max_steps=None, trace=False):
     steps = matches = allocs = created = 0
     outcome, abort_rule = "value", None
     while stack:
-        node = pop()
+        held = pop()
+        node = held.forward or held  # one hop: `held` forwards to a live node
         fetched.clear()
         label = node.label
         if label is H or label is N:
@@ -435,10 +445,13 @@ def evaluate(program, expr, max_steps=None, trace=False):
                     "innermost discipline violated"
         created += rule_created
         replacement = build(slots)
-        node.forward = replacement
+        held.forward = node.forward = replacement
         if trace is not None:
             trace.append(TraceStep(rule, node, replacement))
         for path in fresh:
+            if not path:  # an evaluable contractum root: `held` stands for it
+                push(held)
+                continue
             target = replacement
             for i in path:
                 target = target.children[i]

@@ -164,25 +164,40 @@ def test_rule_side_depth_limit(tmp_path, capsys):
             "error: line 3:2014: rule side nested more than 1000 levels deep")
 
 
+def run_limited(megabytes, *args):
+    """`needle *args` in a child interpreter with an address-space limit."""
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({megabytes} << 20, "
+            f"{megabytes} << 20))\n"
+            "from needle.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.slow
 def test_traced_runs_out_of_memory_exit_1():
     # a divergent traced run under a budget of 10^8 steps grows its log
     # until memory runs out; the child interpreter alone gets a 400 MB
     # address-space limit
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
-            "from needle.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for args in (["validate", LOOP, "fst(MkPair(loop, 0))"],
                  ["eval", LOOP, "fst(MkPair(loop, 0))", "--trace"]):
-        args += ["--max-steps", "100000000"]
-        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_limited(400, *args, "--max-steps", "100000000")
         assert done.returncode == 1, done.stderr[-2000:]
         assert done.stdout == ""
         assert done.stderr == \
             "error: out of memory; --max-steps bounds the run\n"
+
+
+@pytest.mark.slow
+def test_untraced_divergent_runs_fit_in_constant_memory():
+    # an untraced run keeps only the live graph, so two million steps of
+    # `loop` fit in a 200 MB address space (at about 170 B a step, keeping
+    # every contractum ran out of memory there)
+    done = run_limited(200, "eval", LOOP, "loop", "--max-steps", "2000000")
+    assert done.returncode == 4, done.stderr[-2000:]
+    assert done.stderr == "step limit reached after 2000000 step(s)\n"
 
 
 def test_traced_runs_have_their_own_default_budget(monkeypatch, capsys):
