@@ -29,17 +29,15 @@ from .core import (
     CONSTRUCTOR,
     INT_SORT,
     SPECIALIZED,
+    AnyLit,
+    App,
     H,
+    Lit,
     N,
-    PAnyLit,
-    PApp,
-    PLit,
-    PVar,
-    RApp,
-    RLit,
-    RShare,
-    RVar,
+    NeedleError,
+    Share,
     Symbol,
+    Var,
     acyclic,
     pattern_at,
     pattern_subst,
@@ -77,7 +75,7 @@ class ObjectRule:
     """One object-level rule.  `lhs` is rooted by H, N, or a specialized
     symbol; `rhs` is a template (None for exempt and builtin-leaf rules)."""
 
-    lhs: PApp
+    lhs: App
     rhs: Optional[object]
     origin: str
     section: str  # "h", "n", or "builtin" (for listing layout)
@@ -87,7 +85,6 @@ class ObjectRule:
     # Filled in by _finalize:
     step_class: str = "rewrite"
     countable_allocs: int = 0
-    builtin_operands: tuple = ()
 
     @property
     def head(self):
@@ -122,28 +119,8 @@ class ObjectProgram:
 # ---- helpers ----------------------------------------------------------------
 
 
-def _template_of_pattern(p):
-    """The template that rebuilds pattern `p` from its variables' nodes."""
-    out, stack = [], [p]
-    while stack:
-        q = stack.pop()
-        cls = q.__class__
-        if cls is PApp:
-            stack.append(q.label)
-            stack += q.args[::-1]
-        elif cls is Symbol:  # an application whose arguments are done
-            kids = tuple(out[len(out) - q.arity:])
-            del out[len(out) - q.arity:]
-            out.append(RApp(q, kids))
-        elif cls is PLit:
-            out.append(RLit(q.value))
-        else:
-            out.append(RVar(q.name))
-    return out[0]
-
-
-def _h(template):
-    return RApp(H, (template,))
+def _h(term):
+    return App(H, (term,))
 
 
 _FRESH_POOL = ("u", "v", "w", "z")
@@ -169,7 +146,7 @@ def _fresh_app(label, taken=()):
     """`label` over fresh variables of its argument sorts, named apart from
     the names in `taken`."""
     names = _fresh_names(label.arity, set(taken))
-    return PApp(label, tuple(map(PVar, names, label.arg_sorts)))
+    return App(label, tuple(map(Var, names, label.arg_sorts)))
 
 
 # ---- head-normalization rules for one operation ------------------------------
@@ -182,7 +159,7 @@ def compile_operation(system, op, tree, demanded, wrap):
     if op.arity > 4:
         root_names += [f"x{i}" for i in range(5, op.arity + 1)]
     out = []
-    stack = [(tree, PApp(op, tuple(map(PVar, root_names, op.arg_sorts))))]
+    stack = [(tree, App(op, tuple(map(Var, root_names, op.arg_sorts))))]
     while stack:
         item = stack.pop()
         if item.__class__ is ObjectRule:
@@ -190,7 +167,7 @@ def compile_operation(system, op, tree, demanded, wrap):
             continue
         tree, pattern = item
         if isinstance(tree, DTExempt):
-            out.append(ObjectRule(PApp(H, (pattern,)), None, "exempt", "h"))
+            out.append(ObjectRule(App(H, (pattern,)), None, "exempt", "h"))
         elif isinstance(tree, DTRule):
             out.extend(_rule_leaf(system, tree, wrap, demanded))
         else:
@@ -204,11 +181,11 @@ def compile_operation(system, op, tree, demanded, wrap):
                 if tree.default is not None:
                     stack.append((tree.default, pattern))
                 else:
-                    guarded = pattern_subst(pattern, tree.path, PAnyLit(
+                    guarded = pattern_subst(pattern, tree.path, AnyLit(
                         _fresh_names(1, taken)[0]))
-                    stack.append(ObjectRule(PApp(H, (guarded,)), None,
+                    stack.append(ObjectRule(App(H, (guarded,)), None,
                                             "exempt", "h"))
-                subs = [(sub, pattern_subst(pattern, tree.path, PLit(value)))
+                subs = [(sub, pattern_subst(pattern, tree.path, Lit(value)))
                         for value, sub in tree.children]
             stack.extend(reversed(subs))
     return out
@@ -216,10 +193,8 @@ def compile_operation(system, op, tree, demanded, wrap):
 
 def _dispatch_rule(pattern, path):
     """H(pi) = H(pi[H(x)/p]): head-normalize the demanded argument first."""
-    branch_var = pattern_at(pattern, path)
-    wrapped = pattern_subst(_template_of_pattern(pattern), path,
-                            _h(RVar(branch_var.name)))
-    return ObjectRule(PApp(H, (pattern,)), _h(wrapped), "dispatch", "h",
+    wrapped = pattern_subst(pattern, path, _h(pattern_at(pattern, path)))
+    return ObjectRule(App(H, (pattern,)), _h(wrapped), "dispatch", "h",
                       dispatch_path=(0,) + tuple(path))
 
 
@@ -228,14 +203,14 @@ def _rule_leaf(system, leaf, wrap, demanded):
     lhs_inner = rule.lhs
     for path in leaf.guards:
         var = pattern_at(lhs_inner, path)
-        lhs_inner = pattern_subst(lhs_inner, path, PAnyLit(var.name))
-    lhs = PApp(H, (lhs_inner,))
+        lhs_inner = pattern_subst(lhs_inner, path, AnyLit(var.name))
+    lhs = App(H, (lhs_inner,))
     rhs = rule.rhs
 
-    if isinstance(rhs, RVar):
+    if isinstance(rhs, Var):
         return _collapse_rules(system, rule, lhs_inner, rhs.name)
-    if isinstance(rhs, RLit) or (isinstance(rhs, RApp)
-                                 and rhs.label.kind == CONSTRUCTOR):
+    if isinstance(rhs, Lit) or (isinstance(rhs, App)
+                                and rhs.label.kind == CONSTRUCTOR):
         return [ObjectRule(lhs, rhs, "ctor-rooted", "h", source=rule)]
     # operation- or builtin-rooted right side
     body = _wrap_needed(rhs, demanded) if wrap else rhs
@@ -244,19 +219,24 @@ def _rule_leaf(system, leaf, wrap, demanded):
 
 def _collapse_rules(system, rule, lhs_inner, var_name):
     """Expand a collapsing rule (rhs is a variable) per possible root."""
-    pos = var_paths(lhs_inner)[var_name]
-    lhs = PApp(H, (lhs_inner,))
-    share = RShare((0,) + pos)
+    pos = var_paths(lhs_inner).get(var_name)
+    if pos is None:  # an Int branch turned the variable into a guard
+        raise NeedleError(
+            f"operation {rule.op.name!r}: rule {rule.index + 1} returns "
+            f"{var_name!r}, which an integer branch guards; collapsing onto "
+            f"a guarded literal is not supported yet")
+    lhs = App(H, (lhs_inner,))
+    share = Share((0,) + pos)
     sort = pattern_at(lhs_inner, pos).sort
     if sort == INT_SORT:
-        roots = [PAnyLit(var_name)]
+        roots = [AnyLit(var_name)]
     else:
         taken = {v.name for v in pattern_vars(lhs_inner)}
         roots = [_fresh_app(ctor, taken) for ctor in system.sorts[sort]]
-    out = [ObjectRule(PApp(H, (pattern_subst(lhs_inner, pos, root),)), share,
+    out = [ObjectRule(App(H, (pattern_subst(lhs_inner, pos, root),)), share,
                       "collapse-instance", "h", source=rule)
            for root in roots]
-    out.append(ObjectRule(lhs, _h(RVar(var_name)), "collapse-default", "h",
+    out.append(ObjectRule(lhs, _h(Var(var_name)), "collapse-default", "h",
                           source=rule))
     return out
 
@@ -266,16 +246,16 @@ def _wrap_needed(template, demanded):
     calls, stack = [], [template]  # the calls to rebuild, parents first
     while stack:
         t = stack.pop()
-        if isinstance(t, RApp) and t.label.is_op:
+        if isinstance(t, App) and t.label.is_op:
             calls.append(t)
-            stack.extend(t.children[i] for i in demanded[t.label])
+            stack.extend(t.args[i] for i in demanded[t.label])
     rebuilt = {}  # id of a call -> the call with its demanded calls wrapped
     for t in reversed(calls):
-        kids = list(t.children)
+        kids = list(t.args)
         for i in demanded[t.label]:
             if id(kids[i]) in rebuilt:
                 kids[i] = _h(rebuilt[id(kids[i])])
-        rebuilt[id(t)] = RApp(t.label, tuple(kids))
+        rebuilt[id(t)] = App(t.label, tuple(kids))
     return rebuilt.get(id(template), template)
 
 
@@ -285,16 +265,16 @@ def _wrap_needed(template, demanded):
 def builtin_h_rules(system):
     out = []
     for b in system.builtins:
-        lit2 = PApp(H, (PApp(b, (PAnyLit("a"), PAnyLit("b"))),))
+        lit2 = App(H, (App(b, (AnyLit("a"), AnyLit("b"))),))
         out.append(ObjectRule(lit2, None, "builtin-leaf", "builtin",
                               builtin_op=b.name))
-        snd = PApp(H, (PApp(b, (PAnyLit("a"), PVar("y", INT_SORT))),))
+        snd = App(H, (App(b, (AnyLit("a"), Var("y", INT_SORT))),))
         out.append(ObjectRule(
-            snd, _h(RApp(b, (RVar("a"), _h(RVar("y"))))),
+            snd, _h(App(b, (Var("a"), _h(Var("y"))))),
             "builtin-dispatch", "builtin", dispatch_path=(0, 1)))
-        fst = PApp(H, (PApp(b, (PVar("x", INT_SORT), PVar("y", INT_SORT))),))
+        fst = App(H, (App(b, (Var("x", INT_SORT), Var("y", INT_SORT))),))
         out.append(ObjectRule(
-            fst, _h(RApp(b, (_h(RVar("x")), RVar("y")))),
+            fst, _h(App(b, (_h(Var("x")), Var("y")))),
             "builtin-dispatch", "builtin", dispatch_path=(0, 0)))
     return out
 
@@ -305,15 +285,14 @@ def norm_rules(system):
     for sort, ctors in system.sorts.items():
         for ctor in ctors:
             pattern = _fresh_app(ctor)
-            rhs = RApp(ctor, tuple(RApp(N, (RVar(v.name),))
-                                   for v in pattern.args))
-            out.append(ObjectRule(PApp(N, (pattern,)), rhs, "norm-ctor", "n"))
+            rhs = App(ctor, tuple(App(N, (v,)) for v in pattern.args))
+            out.append(ObjectRule(App(N, (pattern,)), rhs, "norm-ctor", "n"))
     for f in system.all_operations:
         section = "builtin" if f.kind == BUILTIN else "n"
         pattern = _fresh_app(f)
-        rhs = RApp(N, (_h(_template_of_pattern(pattern)),))
-        out.append(ObjectRule(PApp(N, (pattern,)), rhs, "norm-op", section))
-    lit = ObjectRule(PApp(N, (PAnyLit("a"),)), RShare((0,)), "literal-norm",
+        rhs = App(N, (_h(pattern),))
+        out.append(ObjectRule(App(N, (pattern,)), rhs, "norm-op", section))
+    lit = ObjectRule(App(N, (AnyLit("a"),)), Share((0,)), "literal-norm",
                      "builtin")
     out.append(lit)
     return out
@@ -331,13 +310,13 @@ def _h_var(template):
         del path[depth:]
         if i is not None:
             path.append(i)
-        if isinstance(t, RApp):
-            if t.label is H and len(t.children) == 1 \
-                    and isinstance(t.children[0], RVar):
-                found.append((tuple(path), t.children[0].name))
+        if isinstance(t, App):
+            if t.label is H and len(t.args) == 1 \
+                    and isinstance(t.args[0], Var):
+                found.append((tuple(path), t.args[0].name))
             else:
                 depth = len(path)
-                stack.extend((c, depth, j) for j, c in enumerate(t.children))
+                stack.extend((c, depth, j) for j, c in enumerate(t.args))
     assert len(found) <= 1, "at most one H(var) per compiled rule"
     return found[0] if found else None
 
@@ -351,7 +330,7 @@ def phase1(system, rules):
     cover them, and rule order keeps them first.  Rules whose sort has no
     producing operations disappear: no runtime term can ever match their
     dropped case.  All copies of a rule share one right side, in which the
-    variable is shared from the left side: H(x) becomes H(RShare(path)).
+    variable is shared from the left side: H(x) becomes H(Share(path)).
     """
     out = []
     for rule in rules:
@@ -364,7 +343,7 @@ def phase1(system, rules):
             continue
         hpath, name = found
         xpath = var_paths(rule.lhs)[name]
-        shared_rhs = pattern_subst(rule.rhs, hpath + (0,), RShare(xpath))
+        shared_rhs = pattern_subst(rule.rhs, hpath + (0,), Share(xpath))
         taken = {v.name for v in pattern_vars(rule.lhs)}
         for g in system.ops_returning(pattern_at(rule.lhs, xpath).sort):
             inst_lhs = pattern_subst(rule.lhs, xpath, _fresh_app(g, taken))
@@ -382,10 +361,10 @@ def _specialize_map(system):
 
 def _specialize_template(template, shift, specialized):
     """Collapse H(f(...)) into f^H(...) throughout a template, and drop the
-    leading 0 of every RShare path if `shift` (the H-rooted left side loses
+    leading 0 of every Share path if `shift` (the H-rooted left side loses
     its wrapper).
 
-    An H(RShare(p)) stands for the call that a phase-1 copy holds at p in
+    An H(Share(p)) stands for the call that a phase-1 copy holds at p in
     its left side, so it stays in place as the hole each copy fills.  The
     result is (template, path of the hole, p), or (template, None, None)."""
     out, stack = [], [template]
@@ -393,19 +372,19 @@ def _specialize_template(template, shift, specialized):
     while stack:
         t = stack.pop()
         cls = t.__class__
-        if cls is RApp:
+        if cls is App:
             if t.label is H:
-                inner = t.children[0]
-                if inner.__class__ is RShare:
-                    assert share is None, "at most one H(RShare) per template"
+                inner = t.args[0]
+                if inner.__class__ is Share:
+                    assert share is None, "at most one H(Share) per template"
                     share, hole_at = inner.path, len(out)
                     out.append(t)
                     continue
-                if not (isinstance(inner, RApp) and inner.label.is_op):
+                if not (isinstance(inner, App) and inner.label.is_op):
                     raise AssertionError(f"phase 2 found H over {inner!r}")
-                t = RApp(specialized[inner.label], inner.children)
+                t = App(specialized[inner.label], inner.args)
             stack.append(t.label)
-            stack += t.children[::-1]
+            stack += t.args[::-1]
         elif cls is Symbol:  # an application whose children are done
             start = len(out) - t.arity
             kids = tuple(out[start:])
@@ -413,10 +392,10 @@ def _specialize_template(template, shift, specialized):
             if hole_at >= start:
                 hole_path.append(hole_at - start)
                 hole_at = start
-            out.append(RApp(t, kids))
-        elif cls is RShare and shift:
+            out.append(App(t, kids))
+        elif cls is Share and shift:
             assert t.path and t.path[0] == 0
-            out.append(RShare(t.path[1:]))
+            out.append(Share(t.path[1:]))
         else:
             out.append(t)
     if share is None:
@@ -429,7 +408,7 @@ def phase2(rules, specialized):
     wrapped call on the right side into its specialized symbol.
 
     Each right side is specialized once, however many rules share it (all
-    phase-1 copies of a rule do).  A copy's H(RShare(p)) is left as a hole
+    phase-1 copies of a rule do).  A copy's H(Share(p)) is left as a hole
     in the shared result, and each copy fills it with g^H over the
     arguments of the call g at p in its own left side."""
     done = {}  # (id of a right side, shift) -> _specialize_template's result
@@ -444,16 +423,16 @@ def phase2(rules, specialized):
             rhs, hole_path, share = done[key]
             if share is not None:
                 target = pattern_at(lhs, share)
-                assert isinstance(target, PApp) and target.label.is_op
+                assert isinstance(target, App) and target.label.is_op
                 share = share[shift:]
-                rhs = pattern_subst(rhs, hole_path, RApp(
+                rhs = pattern_subst(rhs, hole_path, App(
                     specialized[target.label],
-                    tuple(RShare(share + (i,))
+                    tuple(Share(share + (i,))
                           for i in range(len(target.args)))))
         if shift:
             inner = lhs.args[0]
-            assert isinstance(inner, PApp) and inner.label.is_op
-            lhs = PApp(specialized[inner.label], inner.args)
+            assert isinstance(inner, App) and inner.label.is_op
+            lhs = App(specialized[inner.label], inner.args)
             if path is not None:
                 assert path[0] == 0
                 path = path[1:]
@@ -466,12 +445,10 @@ def phase2(rules, specialized):
 
 def _finalize(rule):
     rule.step_class = _ORIGIN_CLASS[rule.origin]
-    if (rule.step_class == "rewrite" and isinstance(rule.rhs, RApp)
+    if (rule.step_class == "rewrite" and isinstance(rule.rhs, App)
             and rule.rhs.label.kind == SPECIALIZED):
         rule.step_class = "shortcut"
     if rule.builtin_op:
-        rule.builtin_operands = tuple(
-            v.name for v in pattern_vars(rule.lhs) if isinstance(v, PAnyLit))
         rule.countable_allocs = 1
     elif rule.exempt or rule.step_class in ("dispatch", "norm"):
         rule.countable_allocs = 0
@@ -487,25 +464,25 @@ def _count_allocs(template):
     total, stack = 0, [template]
     while stack:
         t = stack.pop()
-        if t.__class__ is RLit:
+        if t.__class__ is Lit:
             total += 1
-        elif t.__class__ is RApp:
+        elif t.__class__ is App:
             total += t.label.is_data
-            stack.extend(t.children)
+            stack.extend(t.args)
     return total
 
 
 def _assert_no_h(rules):
-    """No H survives phase 2, also not as an unfilled hole H(RShare(p))."""
+    """No H survives phase 2, also not as an unfilled hole H(Share(p))."""
     for rule in rules:
         assert rule.head is not H, f"H survived phase 2 in {rule.origin} lhs"
         stack = [rule.rhs] if rule.rhs is not None else []
         while stack:
             t = stack.pop()
-            if isinstance(t, RApp):
+            if isinstance(t, App):
                 assert t.label is not H, \
                     f"H survived phase 2 in {rule.origin} rhs"
-                stack.extend(t.children)
+                stack.extend(t.args)
 
 
 @acyclic

@@ -1,4 +1,4 @@
-"""Shared term-graph machinery: symbols, nodes, patterns, templates, rules.
+"""Shared term-graph machinery: symbols, nodes, rule sides, rules.
 
 Terms are graphs of `Node` objects.  A rewrite never edits a node in place
 (its children are a tuple); it sets the node's `forward` pointer to the
@@ -125,47 +125,59 @@ def child_at(node, path):
     return cur
 
 
-# ---- patterns ---------------------------------------------------------------
+# ---- rule sides -------------------------------------------------------------
+#
+# Both sides of a rule are terms over one signature with variables.  On a
+# left side a `Var` matches anything, a `Lit` one literal and an `App` a node
+# of its label over matching children; on a right side a `Var` reuses the
+# node its name is bound to, while a `Lit` or an `App` allocates a fresh node.
 
 
 @dataclass(frozen=True)
-class PVar:
-    """Pattern variable.  Matches anything; binds the matched node."""
+class Var:
+    """A variable: binds the matched node, or reuses the bound one."""
 
     name: str
     sort: Optional[str] = None
 
 
 @dataclass(frozen=True)
-class PLit:
-    """Matches one specific integer literal."""
+class Lit:
+    """One specific integer literal."""
 
     value: int
 
 
 @dataclass(frozen=True)
-class PAnyLit:
-    """Matches any integer literal; binds the matched literal node."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class PApp:
-    """Matches a node labeled `label`, then the children in order."""
+class App:
+    """A node labeled `label` over the terms `args`."""
 
     label: Symbol
     args: tuple = ()
 
 
-def pattern_vars(p) -> Iterator[Union[PVar, PAnyLit]]:
-    """The variable leaves (PVar and PAnyLit) of a pattern, left to right."""
+@dataclass(frozen=True)
+class AnyLit:
+    """Left sides only: matches any integer literal and binds it."""
+
+    name: str
+
+
+@dataclass(frozen=True)
+class Share:
+    """Right sides only: reuse the node matched at `path` in the left side."""
+
+    path: tuple
+
+
+def pattern_vars(p) -> Iterator[Union[Var, AnyLit]]:
+    """The variable leaves (Var and AnyLit) of a pattern, left to right."""
     stack = [p]
     while stack:
         q = stack.pop()
-        if isinstance(q, PApp):
+        if isinstance(q, App):
             stack.extend(q.args[::-1])
-        elif not isinstance(q, PLit):
+        elif not isinstance(q, Lit):
             yield q
 
 
@@ -176,19 +188,18 @@ def pattern_at(p, path):
 
 
 def pattern_subst(p, path, repl):
-    """Pattern or template `p` with the subterm at `path` set to `repl`."""
+    """Term `p` with the subterm at `path` set to `repl`."""
     spine = []
     for i in path:
         spine.append((p, i))
-        p = p.args[i] if p.__class__ is PApp else p.children[i]
+        p = p.args[i]
     for q, i in reversed(spine):
-        kids = q.args if q.__class__ is PApp else q.children
-        repl = q.__class__(q.label, kids[:i] + (repl,) + kids[i + 1:])
+        repl = App(q.label, q.args[:i] + (repl,) + q.args[i + 1:])
     return repl
 
 
 def var_paths(p):
-    """Path of each `PVar` in a pattern, by name, in pre-order (leftmost-
+    """Path of each `Var` in a pattern, by name, in pre-order (leftmost-
     outermost first).  One path list is kept, so deep patterns cost no
     quadratic copying."""
     paths, path = {}, []  # `path` leads to the subpattern just popped
@@ -197,46 +208,11 @@ def var_paths(p):
         q, depth, i = stack.pop()
         del path[depth:]
         path.append(i)
-        if isinstance(q, PVar):
+        if isinstance(q, Var):
             paths[q.name] = tuple(path)
-        elif isinstance(q, PApp):
+        elif isinstance(q, App):
             stack += [(a, depth + 1, j) for j, a in enumerate(q.args)][::-1]
     return paths
-
-
-# ---- right-hand-side templates ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class RVar:
-    """Reuse the node bound to a pattern variable (shares the subgraph)."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class RLit:
-    """Allocate a fresh integer literal node."""
-
-    value: int
-
-
-@dataclass(frozen=True)
-class RApp:
-    """Allocate a fresh node labeled `label` over instantiated children."""
-
-    label: Symbol
-    children: tuple = ()
-
-
-@dataclass(frozen=True)
-class RShare:
-    """Reuse the node matched at `path` in the rule's left-hand side."""
-
-    path: tuple
-
-
-Template = Union[RVar, RLit, RApp, RShare]
 
 
 # ---- source rules -----------------------------------------------------------
@@ -247,8 +223,8 @@ class SourceRule:
     """A user-level rewrite rule `op(patterns) = template`."""
 
     op: Symbol
-    lhs: PApp
-    rhs: Template
+    lhs: App
+    rhs: object
     index: int
 
     def __repr__(self):

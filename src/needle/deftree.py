@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BUILTIN, INT_SORT, NeedleError, PApp, PLit, PVar, pattern_at
+from .core import BUILTIN, INT_SORT, App, Lit, NeedleError, Var, pattern_at
 
 
 class DefTreeError(NeedleError):
@@ -101,7 +101,7 @@ def _split(system, op, positions, rules, guards):
     columns = [[pattern_at(r.lhs, path) for r in rules]
                for path, _ in positions]
     variants = [r for j, r in enumerate(rules)
-                if all(isinstance(subs[j], PVar) for subs in columns)]
+                if all(isinstance(subs[j], Var) for subs in columns)]
     if len(variants) > 1:
         raise DuplicateRule(
             f"operation {op.name!r}: rules {variants[0].index + 1} and "
@@ -111,16 +111,16 @@ def _split(system, op, positions, rules, guards):
 
     # Strict inductive position: every rule has a constructor or literal.
     for k, subs in enumerate(columns):
-        if all(isinstance(s, PApp) for s in subs):
+        if all(isinstance(s, App) for s in subs):
             return _ctor_branch(system, op, positions, k, rules, subs, guards)
-        if all(isinstance(s, PLit) for s in subs):
+        if all(isinstance(s, Lit) for s in subs):
             return _int_branch(positions, k, rules, subs, guards, False)
     # Relaxed integer position: literals plus at least one variable rule.
     # A rule with a variable at every open position is legal here: it
     # becomes the branch default, applicable only when no literal matches.
     for k, subs in enumerate(columns):
-        if (any(isinstance(s, PLit) for s in subs)
-                and all(isinstance(s, (PLit, PVar)) for s in subs)):
+        if (any(isinstance(s, Lit) for s in subs)
+                and all(isinstance(s, (Lit, Var)) for s in subs)):
             return _int_branch(positions, k, rules, subs, guards, True)
     if variants:
         others = [r for r in rules if r is not variants[0]]
@@ -159,15 +159,15 @@ def _int_branch(positions, k, rules, subs, guards, with_default):
     rest = positions[:k] + positions[k + 1:]
     lits = []
     for sub in subs:
-        if isinstance(sub, PLit) and sub.value not in lits:
+        if isinstance(sub, Lit) and sub.value not in lits:
             lits.append(sub.value)
     subtasks = []
     for i, value in enumerate(lits):
         sub_rules = [r for r, sub in zip(rules, subs)
-                     if isinstance(sub, PLit) and sub.value == value]
+                     if isinstance(sub, Lit) and sub.value == value]
         subtasks.append((i, rest, sub_rules, guards))
     if with_default:
-        var_rules = [r for r, sub in zip(rules, subs) if isinstance(sub, PVar)]
+        var_rules = [r for r, sub in zip(rules, subs) if isinstance(sub, Var)]
         if var_rules:
             subtasks.append((None, positions, var_rules, guards + (path,)))
     return DTIntBranch(path, [(value, None) for value in lits]), subtasks

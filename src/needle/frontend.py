@@ -26,16 +26,13 @@ from .core import (
     INT_MIN,
     INT_SORT,
     OPERATION,
+    App,
+    Lit,
     NeedleError,
     Node,
-    PApp,
-    PLit,
-    PVar,
-    RApp,
-    RLit,
-    RVar,
     SourceRule,
     Symbol,
+    Var,
 )
 
 
@@ -274,13 +271,12 @@ class _Parser:
         self.expect("punct", "=")
         rhs_raw = self.parse_term()
         var_sorts = {}
+        app = lambda sym, args, *_: App(sym, args)
         lhs = self.check_side(
-            lhs_raw, op, lambda sym, args, *_: PApp(sym, args),
-            partial(self.check_pattern, op=op, var_sorts=var_sorts,
-                    wilds=[0]))
-        rhs = self.check_side(
-            rhs_raw, op.result_sort, lambda sym, args, *_: RApp(sym, args),
-            partial(self.check_rhs, var_sorts=var_sorts))
+            lhs_raw, op, app, partial(self.check_pattern, op=op,
+                                      var_sorts=var_sorts, wilds=[0]))
+        rhs = self.check_side(rhs_raw, op.result_sort, app,
+                              partial(self.check_rhs, var_sorts=var_sorts))
         rule = SourceRule(op, lhs, rhs, len(self.system.rules[op]))
         self.system.rules[op].append(rule)
 
@@ -366,12 +362,12 @@ class _Parser:
         if kind == "lit":
             if sort != INT_SORT:
                 self.fail(f"integer literal where {sort!r} expected", tok)
-            return PLit(payload)
+            return Lit(payload)
         if kind == "wild":
             wilds[0] += 1
             name = "_" if wilds[0] == 1 else f"_{wilds[0]}"
             var_sorts[name] = sort
-            return PVar(name, sort)
+            return Var(name, sort)
         name, args = payload
         sym = self.system.symbols.get(name)
         if sym is not None and sym.kind == CONSTRUCTOR:
@@ -389,7 +385,7 @@ class _Parser:
             self.fail(f"pattern variable {name!r} repeated (rules must be "
                       f"left-linear)", tok)
         var_sorts[name] = sort
-        return PVar(name, sort)
+        return Var(name, sort)
 
     def check_rhs(self, raw, sort, parent, var_sorts):
         """One right-side term: a checked leaf, or a symbol to apply."""
@@ -397,7 +393,7 @@ class _Parser:
         if kind == "lit":
             if sort != INT_SORT:
                 self.fail(f"integer literal where {sort!r} expected", tok)
-            return RLit(payload)
+            return Lit(payload)
         if kind == "wild":
             self.fail("wildcard not allowed on a rule right side", tok)
         name, args = payload
@@ -410,7 +406,7 @@ class _Parser:
             if var_sorts[name] != sort:
                 self.fail(f"variable {name!r} has sort {var_sorts[name]!r}, "
                           f"expected {sort!r}", tok)
-            return RVar(name)
+            return Var(name)
         if sym.result_sort != sort:
             self.fail(f"{name!r} has sort {sym.result_sort!r}, expected "
                       f"{sort!r}", tok)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (BUILTIN, Node, PApp, PVar, RApp, RLit, RVar, Symbol,
-                   acyclic, child_at, int_op, resolve)
+from .core import (BUILTIN, App, Lit, Node, Symbol, Var, acyclic, child_at,
+                   int_op, resolve)
 from .deftree import DTBranch, DTExempt, DTRule, build_all_deftrees
 from .render import path_str
 from .runtime import Replay, source_label, step_budget
@@ -140,12 +140,12 @@ def apply_source_rule(rule, node):
         if n.forward is not None:
             n = resolve(n)
         cls = p.__class__
-        if cls is PVar:
+        if cls is Var:
             bindings[p.name] = n
             continue
-        assert n.label is p.label if cls is PApp else n.label == p.value, \
+        assert n.label is p.label if cls is App else n.label == p.value, \
             "descent selected a rule that does not match"
-        if cls is PApp:
+        if cls is App:
             stack.extend(zip(p.args, n.children))
     # Build the right side bottom-up: an application's symbol is pushed below
     # its arguments, and once they are built it takes its arity off `out`.
@@ -153,15 +153,15 @@ def apply_source_rule(rule, node):
     while stack:
         t = stack.pop()
         cls = t.__class__
-        if cls is RApp:
-            if t.children:
+        if cls is App:
+            if t.args:
                 stack.append(t.label)
-                stack += t.children[::-1]
+                stack += t.args[::-1]
             else:
                 out.append(Node(t.label))
-        elif cls is RVar:
+        elif cls is Var:
             out.append(bindings[t.name])
-        elif cls is RLit:
+        elif cls is Lit:
             out.append(Node(t.value))
         else:  # the symbol of an application whose arguments are built
             kids = out[-t.arity:]

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from .core import (
-    PAnyLit,
-    PApp,
-    PLit,
-    PVar,
-    RLit,
-    RShare,
-    RVar,
+    AnyLit,
+    Lit,
+    Share,
+    Var,
     pattern_at,
+    pattern_vars,
     resolve,
 )
 from .deftree import DTBranch, DTExempt, DTRule
@@ -63,7 +61,7 @@ def format_node(node, resolve=resolve, erase=False):
 
 def format_template(t, lhs=None, literals=()):
     """Text of a pattern, or of a template over the left side `lhs`, and the
-    set of names of the literal variables (`PAnyLit`) it prints.  A shared
+    set of names of the literal variables (`AnyLit`) it prints.  A shared
     position prints as the pattern there, and a variable named in
     `literals` (those of `lhs`) as `#name`."""
     found = set()
@@ -77,17 +75,17 @@ def format_template(t, lhs=None, literals=()):
         cls = t.__class__
         if cls is str:
             emit(t)
-        elif cls is PLit or cls is RLit:
+        elif cls is Lit:
             emit(str(t.value))
-        elif cls is RShare:
+        elif cls is Share:
             push(pattern_at(lhs, t.path))
-        elif cls is PAnyLit:
+        elif cls is AnyLit:
             found.add(t.name)
             emit("#" + t.name)
-        elif cls is PVar or cls is RVar:
+        elif cls is Var:
             emit("#" + t.name if t.name in literals else t.name)
         else:
-            kids = t.args if cls is PApp else t.children
+            kids = t.args
             if not kids:
                 emit(t.label.name)
                 continue
@@ -108,7 +106,7 @@ def format_rule(rule):
         rhs = "abort"
     elif rule.builtin_op is not None:
         op = "+" if rule.builtin_op == "add" else "-"
-        a, b = rule.builtin_operands or ("a", "b")
+        a, b = (v.name for v in pattern_vars(rule.lhs))
         rhs = f"<{a} {op} {b}>"
     else:
         rhs = format_template(rule.rhs, rule.lhs, literals)[0]

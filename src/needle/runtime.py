@@ -54,19 +54,16 @@ from typing import Optional
 from .core import (
     CONTROL,
     SPECIALIZED,
+    App,
     EvaluationError,
     H,
+    Lit,
     N,
     NeedleError,
     Node,
-    PApp,
-    PLit,
-    PVar,
-    RApp,
-    RLit,
-    RShare,
-    RVar,
+    Share,
     Symbol,
+    Var,
     acyclic,
     int_op,
     resolve,
@@ -229,7 +226,7 @@ def _compile_groups(rules):
         wrapped = head is H or head is N
         if wrapped:
             child = rule.lhs.args[0]
-            key = (head, child.label if child.__class__ is PApp else int)
+            key = (head, child.label if child.__class__ is App else int)
         slot_of, entries = groups.setdefault(
             key, ({(0, 0): 1} if wrapped else {}, []))
         code, var_slot = [], {}
@@ -238,14 +235,14 @@ def _compile_groups(rules):
             pattern, parent, idx = stack.pop()
             slot = slot_of.setdefault((parent, idx), len(slot_of) + 1)
             cls = pattern.__class__
-            if cls is PApp:
+            if cls is App:
                 op, payload = _APP, pattern.label
                 args = enumerate(pattern.args)
                 stack += [(arg, slot, i) for i, arg in args][::-1]
-            elif cls is PLit:
+            elif cls is Lit:
                 op, payload = _LIT, pattern.value
             else:
-                op, payload = (_VAR if cls is PVar else _ANYLIT), None
+                op, payload = (_VAR if cls is Var else _ANYLIT), None
                 var_slot[pattern.name] = slot
             if not (wrapped and slot == 1):
                 code.append((op, slot, parent, idx, payload))
@@ -261,15 +258,15 @@ def _compile_groups(rules):
 def _evaluable_paths(template):
     """Paths to the evaluable nodes a right side creates, in reverse
     post-order (a right-to-left pre-order)."""
-    if template.__class__ is not RApp:
+    if template.__class__ is not App:
         return ()
     paths, stack = [], [(template, ())]
     while stack:
         t, path = stack.pop()
         if t.label.kind in _EVALUABLE_KINDS:
             paths.append(path)
-        stack += [(child, path + (i,)) for i, child in enumerate(t.children)
-                  if child.__class__ is RApp]
+        stack += [(child, path + (i,)) for i, child in enumerate(t.args)
+                  if child.__class__ is App]
     return tuple(paths)
 
 
@@ -289,19 +286,19 @@ def _builder(rule, var_slot, slot_of):
     while stack:
         t = stack.pop()
         cls = t.__class__
-        if cls is RApp:
+        if cls is App:
             created += 1
             level += 1
             stack.append(t.label)
-            stack += t.children[::-1]
-        elif cls is RVar:
+            stack += t.args[::-1]
+        elif cls is Var:
             out.append(itemgetter(var_slot[t.name]))
-        elif cls is RShare:
+        elif cls is Share:
             slot = 0
             for i in t.path:
                 slot = slot_of[(slot, i)]
             out.append(itemgetter(slot))
-        elif cls is RLit:
+        elif cls is Lit:
             created += 1
             out.append(lambda s, value=t.value: Node(value))
         else:

@@ -55,6 +55,24 @@ def test_non_utf8_system_file_exits_1(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_collapse_onto_a_literal_guarded_variable_exits_1(tmp_path, capsys):
+    guarded = tmp_path / "guarded.rw"
+    guarded.write_text("op g(Int) -> Int:\n g(0) = 1\n g(n) = n;\n")
+    path = str(guarded)
+    commands = [["validate", path, "g(2)"], ["bench", path, "g(2)"]]
+    for mode in ("cr", "tr", "or"):
+        commands += [["compile", path, "--mode", mode],
+                     ["eval", path, "g(2)", "--mode", mode]]
+    for argv in commands:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == (
+            "error: operation 'g': rule 2 returns 'n', which an integer "
+            "branch guards; collapsing onto a guarded literal is not "
+            "supported yet\n"), argv
+
+
 def test_tree_prints_definitional_trees(capsys):
     assert main(["tree", FIB, "--op", "fib"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 
 from needle import (SourceError, build_program, evaluate, oracle_eval,
                     parse_expr, parse_system)
-from needle.core import Node, PApp, PLit, PVar, RApp, RLit, RVar
+from needle.core import App, Lit, Node, Var
 from needle.frontend import scan
 from needle.render import format_node
 
@@ -158,24 +158,24 @@ def test_parsed_rule_structure():
     double = system.symbols["double"]
     s = system.symbols["S"]
     base, step = system.rules[double]
-    assert base.lhs == PApp(double, (PApp(system.symbols["Z"], ()),))
-    assert base.rhs == RApp(system.symbols["Z"], ())
-    assert step.lhs == PApp(double, (PApp(s, (PVar("n", "Nat"),)),))
-    assert step.rhs == RApp(s, (RApp(s, (RApp(double, (RVar("n"),)),)),))
+    assert base.lhs == App(double, (App(system.symbols["Z"], ()),))
+    assert base.rhs == App(system.symbols["Z"], ())
+    assert step.lhs == App(double, (App(s, (Var("n", "Nat"),)),))
+    assert step.rhs == App(s, (App(s, (App(double, (Var("n"),)),)),))
     assert (base.index, step.index) == (0, 1)
 
 
 def test_literal_patterns_parse():
     system = parse_system("op isZero(Int) -> Int: isZero(0) = 1 isZero(n) = 0;")
     rules = system.rules[system.symbols["isZero"]]
-    assert rules[0].lhs.args == (PLit(0),)
-    assert rules[1].rhs == RLit(0)
+    assert rules[0].lhs.args == (Lit(0),)
+    assert rules[1].rhs == Lit(0)
 
 
 def test_literals_must_fit_in_64_bits():
     text = "op f(Int) -> Int: f({}) = {};"
     system = parse_system(text.format(-2**63, 2**63 - 1))
-    assert system.rules[system.symbols["f"]][0].rhs == RLit(2**63 - 1)
+    assert system.rules[system.symbols["f"]][0].rhs == Lit(2**63 - 1)
     with pytest.raises(SourceError, match=r"line 1:26: integer literal "
                                           r"9223372036854775808 is outside"):
         parse_system(text.format(0, 2**63))

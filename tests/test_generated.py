@@ -3,7 +3,10 @@
 The systems come from the seeded generator of the benchmark's `compile`
 workload (`perfbench/gen.py`, which never calls needle), so this covers the
 shapes that workload measures: operations of arity up to 3, constructor
-branches nested below the root, and Int branches with defaults.
+branches nested below the root, and Int branches with defaults.  Every
+source and object rule of these systems and of the corpus is also checked
+for well-formed sides: both sides share one term language, so only these
+checks keep a left-side-only or right-side-only term on its own side.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from pathlib import Path
 
 from needle import (build_program, evaluate, oracle_eval, parse_expr,
                     parse_system, validate_trace)
+from needle.core import AnyLit, App, Share, Var
 from needle.render import format_node
 
-from conftest import MODES
+from conftest import CORPUS_NAMES, MODES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
@@ -28,11 +32,59 @@ MAX_OPS = 28
 TERMS = 3
 
 
+def _subterms(term):
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        if t.__class__ is App:
+            stack.extend(t.args)
+
+
+def _has_path(term, path):
+    for i in path:
+        if term.__class__ is not App or i >= len(term.args):
+            return False
+        term = term.args[i]
+    return True
+
+
+def side_problems(rules):
+    """Each rule whose sides break a side invariant, and how: a left side
+    holds no `Share`, and a right side no `AnyLit`; each right-side `Var` is
+    bound on the left side, and each `Share` path leads into it."""
+    problems = []
+    for rule in rules:
+        left = list(_subterms(rule.lhs))
+        bound = {t.name for t in left if t.__class__ in (Var, AnyLit)}
+        problems += [(rule, t) for t in left if t.__class__ is Share]
+        for t in _subterms(rule.rhs) if rule.rhs is not None else ():
+            if t.__class__ is AnyLit or (
+                    t.__class__ is Var and t.name not in bound) or (
+                    t.__class__ is Share and not _has_path(rule.lhs, t.path)):
+                problems.append((rule, t))
+    return problems
+
+
+def assert_sides_are_well_formed(system, programs):
+    for rules in system.rules.values():
+        assert side_problems(rules) == [], system.name
+    for program in programs:
+        assert side_problems(program.rules) == [], (system.name, program.mode)
+
+
+def test_corpus_rule_sides_are_well_formed(systems, programs):
+    for name in CORPUS_NAMES:
+        assert_sides_are_well_formed(
+            systems[name], [programs(name, mode) for mode in MODES])
+
+
 def test_generated_systems_agree_with_the_source_strategy():
     for seed in SEEDS:
         generated = gen.SystemGen(random.Random(seed), 1 + seed % MAX_OPS)
         system = parse_system(generated.text(), f"gen{seed}")
         programs = [build_program(system, mode) for mode in MODES]
+        assert_sides_are_well_formed(system, programs)
         for term in generated.ground_terms(TERMS):
             source = oracle_eval(system, parse_expr(system, term)[0])
             for program in programs:

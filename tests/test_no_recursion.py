@@ -2,8 +2,9 @@
 
 A static check finds every cycle in the package's call graph, and a child
 interpreter left at CPython's default recursion limit takes rule sides at the
-parser's depth bound through every command.  One more static check, beside
-these, finds imported names a module never uses.
+parser's depth bound through every command.  Two more static checks, beside
+these, find imported names a module never uses and module-level definitions
+nothing refers to.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import needle
 from conftest import time_budget
 
 PACKAGE = Path(needle.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _call_graph():
@@ -89,6 +91,43 @@ def test_every_imported_name_is_used():
                 unused += [f"{path.name}: {alias.name}" for alias in node.names
                            if (alias.asname or alias.name).split(".")[0]
                            not in used]
+    assert unused == []
+
+
+def _references(node):
+    """How often each name is referred to below `node`: loaded as a
+    variable, read or written as an attribute, or imported."""
+    counts = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.alias):
+            name = sub.name.split(".")[-1]
+        else:
+            continue
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def test_every_definition_is_referenced():
+    """Each module-level function and class of the package is named
+    somewhere in the sources, tests or benchmark outside its own body."""
+    total = {}
+    for path in sorted(path for d in ("src", "tests", "perfbench")
+                       for path in (ROOT / d).rglob("*.py")):
+        for name, count in _references(ast.parse(path.read_text())).items():
+            total[name] = total.get(name, 0) + count
+    unused, defined = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined += 1
+                own = _references(node).get(node.name, 0)
+                if total.get(node.name, 0) == own:
+                    unused.append(f"{path.name}: {node.name}")
+    assert defined > 100
     assert unused == []
 
 
