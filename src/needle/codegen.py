@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    BUILTIN,
     CONSTRUCTOR,
     INT_SORT,
     SPECIALIZED,
@@ -78,13 +77,8 @@ class ObjectRule:
     lhs: App
     rhs: Optional[object]
     origin: str
-    section: str  # "h", "n", or "builtin" (for listing layout)
     source: Optional[object] = None  # SourceRule this rule implements
-    builtin_op: Optional[str] = None
     dispatch_path: Optional[tuple] = None  # lhs path that must hold an operation
-    # Filled in by _finalize:
-    step_class: str = "rewrite"
-    countable_allocs: int = 0
 
     @property
     def head(self):
@@ -98,12 +92,43 @@ class ObjectRule:
     def is_literal_norm(self):
         return self.origin == "literal-norm"
 
+    @property
+    def builtin_op(self):
+        """The name of the builtin a builtin-leaf rule computes, else None."""
+        if self.origin != "builtin-leaf":
+            return None
+        head = self.head
+        return (self.lhs.args[0].label if head is H else head.base).name
 
-def _copy(rule, lhs, rhs, dispatch_path):
-    """`rule` with new sides and dispatch path, before `_finalize` (a plain
-    constructor call: `dataclasses.replace` is slow)."""
-    return ObjectRule(lhs, rhs, rule.origin, rule.section, rule.source,
-                      rule.builtin_op, dispatch_path)
+    @property
+    def step_class(self):
+        """The origin's class; a rewrite whose right side is rooted by a
+        specialized symbol is a shortcut."""
+        cls = _ORIGIN_CLASS[self.origin]
+        if cls == "rewrite" and isinstance(self.rhs, App) \
+                and self.rhs.label.kind == SPECIALIZED:
+            return "shortcut"
+        return cls
+
+    @property
+    def countable_allocs(self):
+        """Fresh data nodes (signature symbols and literals) the rule
+        allocates.  Evaluation wrappers and specialized symbols are control
+        bookkeeping and are not counted; shared (reused) nodes allocate
+        nothing.  Dispatch, norm and exempt rules count none."""
+        if self.origin == "builtin-leaf":
+            return 1  # the result literal
+        if self.step_class not in ("rewrite", "shortcut"):
+            return 0
+        total, stack = 0, [self.rhs]
+        while stack:
+            t = stack.pop()
+            if t.__class__ is Lit:
+                total += 1
+            elif t.__class__ is App:
+                total += t.label.is_data
+                stack.extend(t.args)
+        return total
 
 
 @dataclass
@@ -167,7 +192,7 @@ def compile_operation(system, op, tree, demanded, wrap):
             continue
         tree, pattern = item
         if isinstance(tree, DTExempt):
-            out.append(ObjectRule(App(H, (pattern,)), None, "exempt", "h"))
+            out.append(ObjectRule(App(H, (pattern,)), None, "exempt"))
         elif isinstance(tree, DTRule):
             out.extend(_rule_leaf(system, tree, wrap, demanded))
         else:
@@ -184,7 +209,7 @@ def compile_operation(system, op, tree, demanded, wrap):
                     guarded = pattern_subst(pattern, tree.path, AnyLit(
                         _fresh_names(1, taken)[0]))
                     stack.append(ObjectRule(App(H, (guarded,)), None,
-                                            "exempt", "h"))
+                                            "exempt"))
                 subs = [(sub, pattern_subst(pattern, tree.path, Lit(value)))
                         for value, sub in tree.children]
             stack.extend(reversed(subs))
@@ -194,7 +219,7 @@ def compile_operation(system, op, tree, demanded, wrap):
 def _dispatch_rule(pattern, path):
     """H(pi) = H(pi[H(x)/p]): head-normalize the demanded argument first."""
     wrapped = pattern_subst(pattern, path, _h(pattern_at(pattern, path)))
-    return ObjectRule(App(H, (pattern,)), _h(wrapped), "dispatch", "h",
+    return ObjectRule(App(H, (pattern,)), _h(wrapped), "dispatch",
                       dispatch_path=(0,) + tuple(path))
 
 
@@ -211,10 +236,10 @@ def _rule_leaf(system, leaf, wrap, demanded):
         return _collapse_rules(system, rule, lhs_inner, rhs.name)
     if isinstance(rhs, Lit) or (isinstance(rhs, App)
                                 and rhs.label.kind == CONSTRUCTOR):
-        return [ObjectRule(lhs, rhs, "ctor-rooted", "h", source=rule)]
+        return [ObjectRule(lhs, rhs, "ctor-rooted", rule)]
     # operation- or builtin-rooted right side
     body = _wrap_needed(rhs, demanded) if wrap else rhs
-    return [ObjectRule(lhs, _h(body), "op-rooted", "h", source=rule)]
+    return [ObjectRule(lhs, _h(body), "op-rooted", rule)]
 
 
 def _collapse_rules(system, rule, lhs_inner, var_name):
@@ -234,10 +259,9 @@ def _collapse_rules(system, rule, lhs_inner, var_name):
         taken = {v.name for v in pattern_vars(lhs_inner)}
         roots = [_fresh_app(ctor, taken) for ctor in system.sorts[sort]]
     out = [ObjectRule(App(H, (pattern_subst(lhs_inner, pos, root),)), share,
-                      "collapse-instance", "h", source=rule)
+                      "collapse-instance", rule)
            for root in roots]
-    out.append(ObjectRule(lhs, _h(Var(var_name)), "collapse-default", "h",
-                          source=rule))
+    out.append(ObjectRule(lhs, _h(Var(var_name)), "collapse-default", rule))
     return out
 
 
@@ -266,16 +290,15 @@ def builtin_h_rules(system):
     out = []
     for b in system.builtins:
         lit2 = App(H, (App(b, (AnyLit("a"), AnyLit("b"))),))
-        out.append(ObjectRule(lit2, None, "builtin-leaf", "builtin",
-                              builtin_op=b.name))
+        out.append(ObjectRule(lit2, None, "builtin-leaf"))
         snd = App(H, (App(b, (AnyLit("a"), Var("y", INT_SORT))),))
         out.append(ObjectRule(
             snd, _h(App(b, (Var("a"), _h(Var("y"))))),
-            "builtin-dispatch", "builtin", dispatch_path=(0, 1)))
+            "builtin-dispatch", dispatch_path=(0, 1)))
         fst = App(H, (App(b, (Var("x", INT_SORT), Var("y", INT_SORT))),))
         out.append(ObjectRule(
             fst, _h(App(b, (_h(Var("x")), Var("y")))),
-            "builtin-dispatch", "builtin", dispatch_path=(0, 0)))
+            "builtin-dispatch", dispatch_path=(0, 0)))
     return out
 
 
@@ -286,68 +309,48 @@ def norm_rules(system):
         for ctor in ctors:
             pattern = _fresh_app(ctor)
             rhs = App(ctor, tuple(App(N, (v,)) for v in pattern.args))
-            out.append(ObjectRule(App(N, (pattern,)), rhs, "norm-ctor", "n"))
+            out.append(ObjectRule(App(N, (pattern,)), rhs, "norm-ctor"))
     for f in system.all_operations:
-        section = "builtin" if f.kind == BUILTIN else "n"
         pattern = _fresh_app(f)
-        rhs = App(N, (_h(pattern),))
-        out.append(ObjectRule(App(N, (pattern,)), rhs, "norm-op", section))
-    lit = ObjectRule(App(N, (AnyLit("a"),)), Share((0,)), "literal-norm",
-                     "builtin")
-    out.append(lit)
+        out.append(ObjectRule(App(N, (pattern,)), App(N, (_h(pattern),)),
+                              "norm-op"))
+    out.append(ObjectRule(App(N, (AnyLit("a"),)), Share((0,)),
+                          "literal-norm"))
     return out
 
 
 # ---- the two transformation phases -------------------------------------------
 
 
-def _h_var(template):
-    """Path and variable name of the H(x) application in a template, if any."""
-    found, path = [], []
-    stack = [(template, 0, None)]
-    while stack:
-        t, depth, i = stack.pop()
-        del path[depth:]
-        if i is not None:
-            path.append(i)
-        if isinstance(t, App):
-            if t.label is H and len(t.args) == 1 \
-                    and isinstance(t.args[0], Var):
-                found.append((tuple(path), t.args[0].name))
-            else:
-                depth = len(path)
-                stack.extend((c, depth, j) for j, c in enumerate(t.args))
-    assert len(found) <= 1, "at most one H(var) per compiled rule"
-    return found[0] if found else None
-
-
 def phase1(system, rules):
     """Instantiate away every H(variable) on a right side.
 
-    The rule is replaced by one copy per operation that can produce the
-    variable's sort.  The value cases (literal or constructor at that
-    position) need no copies: the rules emitted ahead of this one already
-    cover them, and rule order keeps them first.  Rules whose sort has no
-    producing operations disappear: no runtime term can ever match their
-    dropped case.  All copies of a rule share one right side, in which the
-    variable is shared from the left side: H(x) becomes H(Share(path)).
+    A dispatch rule holds its H(x) at its dispatch path, and a
+    collapse-default rule at the root; no other rule holds one.  The rule is
+    replaced by one copy per operation that can produce the variable's sort.
+    The value cases (literal or constructor at that position) need no
+    copies: the rules emitted ahead of this one already cover them, and rule
+    order keeps them first.  Rules whose sort has no producing operations
+    disappear: no runtime term can ever match their dropped case.  All
+    copies of a rule share one right side, in which the variable is shared
+    from the left side: H(x) becomes H(Share(path)).
     """
     out = []
     for rule in rules:
-        if rule.rhs is None:
+        hpath = () if rule.origin == "collapse-default" else rule.dispatch_path
+        if hpath is None:
             out.append(rule)
             continue
-        found = _h_var(rule.rhs)
-        if found is None:
-            out.append(rule)
-            continue
-        hpath, name = found
-        xpath = var_paths(rule.lhs)[name]
+        hx = pattern_at(rule.rhs, hpath)
+        assert hx.__class__ is App and hx.label is H \
+            and hx.args[0].__class__ is Var, rule.origin
+        xpath = var_paths(rule.lhs)[hx.args[0].name]
         shared_rhs = pattern_subst(rule.rhs, hpath + (0,), Share(xpath))
         taken = {v.name for v in pattern_vars(rule.lhs)}
         for g in system.ops_returning(pattern_at(rule.lhs, xpath).sort):
             inst_lhs = pattern_subst(rule.lhs, xpath, _fresh_app(g, taken))
-            out.append(_copy(rule, inst_lhs, shared_rhs, rule.dispatch_path))
+            out.append(ObjectRule(inst_lhs, shared_rhs, rule.origin,
+                                  rule.source, rule.dispatch_path))
     return out
 
 
@@ -424,11 +427,8 @@ def phase2(rules, specialized):
             if share is not None:
                 target = pattern_at(lhs, share)
                 assert isinstance(target, App) and target.label.is_op
-                share = share[shift:]
                 rhs = pattern_subst(rhs, hole_path, App(
-                    specialized[target.label],
-                    tuple(Share(share + (i,))
-                          for i in range(len(target.args)))))
+                    specialized[target.label], target.args))
         if shift:
             inner = lhs.args[0]
             assert isinstance(inner, App) and inner.label.is_op
@@ -436,40 +436,11 @@ def phase2(rules, specialized):
             if path is not None:
                 assert path[0] == 0
                 path = path[1:]
-        out.append(_copy(rule, lhs, rhs, path))
+        out.append(ObjectRule(lhs, rhs, rule.origin, rule.source, path))
     return out
 
 
 # ---- program assembly ---------------------------------------------------------
-
-
-def _finalize(rule):
-    rule.step_class = _ORIGIN_CLASS[rule.origin]
-    if (rule.step_class == "rewrite" and isinstance(rule.rhs, App)
-            and rule.rhs.label.kind == SPECIALIZED):
-        rule.step_class = "shortcut"
-    if rule.builtin_op:
-        rule.countable_allocs = 1
-    elif rule.exempt or rule.step_class in ("dispatch", "norm"):
-        rule.countable_allocs = 0
-    else:
-        rule.countable_allocs = _count_allocs(rule.rhs)
-    return rule
-
-
-def _count_allocs(template):
-    """Fresh data nodes (signature symbols and literals) a rule allocates.
-    Evaluation wrappers and specialized symbols are control bookkeeping and
-    are not counted; shared (reused) nodes allocate nothing."""
-    total, stack = 0, [template]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is Lit:
-            total += 1
-        elif t.__class__ is App:
-            total += t.label.is_data
-            stack.extend(t.args)
-    return total
 
 
 def _assert_no_h(rules):
@@ -490,9 +461,7 @@ def build_program(system, mode):
     assert mode in ("cr", "tr", "or"), mode
     trees = build_all_deftrees(system)
     demanded = {op: demanded_args(op, trees.get(op))
-                for op in system.operations}
-    for b in system.builtins:
-        demanded[b] = set(range(b.arity))
+                for op in system.all_operations}
     rules = []
     wrap = mode == "or"
     for op in system.operations:
@@ -505,5 +474,4 @@ def build_program(system, mode):
         specialized = _specialize_map(system)
         rules = phase2(rules, specialized)
         _assert_no_h(rules)
-    rules = [_finalize(r) for r in rules]
     return ObjectProgram(system, mode, rules, trees, specialized)

@@ -330,7 +330,7 @@ def validate_trace(system, result, trees=None):
             # rewrite / shortcut: one source step at the erased redex image
             proper += 1
             found = next(strategy, None)
-            src = None if rule.builtin_op is not None else rule.source
+            src = rule.source
             target = None
             if found is None:
                 faults.append(("no-redex",

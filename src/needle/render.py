@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .core import (
+    BUILTIN,
     AnyLit,
     Lit,
     Share,
@@ -113,23 +114,26 @@ def format_rule(rule):
     return f"{lhs} = {rhs}  ; {rule.origin}"
 
 
-_SECTION_TITLES = {
-    "h": {"cr": "-- H rules", "tr": "-- specialized rules",
-          "or": "-- specialized rules"},
-    "n": {"cr": "-- N rules", "tr": "-- N rules", "or": "-- N rules"},
-    "builtin": {"cr": "-- builtin rules", "tr": "-- builtin rules",
-                "or": "-- builtin rules"},
-}
+def rule_section(rule):
+    """The listing section of an object rule: "h" for head rules, "n" for
+    normalization rules, "builtin" for the rules of builtins and literals."""
+    origin = rule.origin
+    if origin in ("builtin-leaf", "builtin-dispatch", "literal-norm") or (
+            origin == "norm-op" and rule.lhs.args[0].label.kind == BUILTIN):
+        return "builtin"
+    return "n" if origin in ("norm-ctor", "norm-op") else "h"
 
 
 def format_program(program):
     lines = [f"-- object program: {program.system.name} (mode {program.mode})"]
-    for section in ("h", "n", "builtin"):
-        rules = [r for r in program.rules if r.section == section]
+    titles = {"h": "H rules" if program.mode == "cr" else "specialized rules",
+              "n": "N rules", "builtin": "builtin rules"}
+    for section, title in titles.items():
+        rules = [r for r in program.rules if rule_section(r) == section]
         if not rules:
             continue
         lines.append("")
-        lines.append(_SECTION_TITLES[section][program.mode])
+        lines.append("-- " + title)
         lines.extend(format_rule(r) for r in rules)
     return "\n".join(lines) + "\n"
 

@@ -128,7 +128,6 @@ class EvalResult:
     root: Node
     counters: Counters
     steps: int
-    program: object
     trace: Optional[list] = None  # TraceSteps, when traced
     start: Optional[Node] = None  # the root before the first step, when traced
     abort_rule: Optional[object] = None
@@ -457,5 +456,4 @@ def evaluate(program, expr, max_steps=None, trace=False):
         raise NoRuleError(f"no rule matches {_shape(node)}")
     return EvalResult(outcome, resolve(root),
                       Counters(*by_class, matches, allocs, created), steps,
-                      program, trace, root if trace is not None else None,
-                      abort_rule)
+                      trace, root if trace is not None else None, abort_rule)

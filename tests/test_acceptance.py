@@ -23,6 +23,7 @@ from needle.render import (
     format_node,
     format_program,
     format_rule,
+    rule_section,
     trace_states,
 )
 from needle.runtime import NoRuleError
@@ -92,8 +93,8 @@ def test_compiled_append_listings_match_golden(systems):
     assert cr_text == golden("append_cr.txt")
     assert tr_text == golden("append_tr.txt")
     # the wrapper rules for append itself: five head rules, three walk rules
-    assert len([r for r in cr.rules if r.section == "h"]) == 5
-    assert len([r for r in cr.rules if r.section == "n"]) == 3
+    assert len([r for r in cr.rules if rule_section(r) == "h"]) == 5
+    assert len([r for r in cr.rules if rule_section(r) == "n"]) == 3
     assert elapsed < time_budget(1)
 
 

@@ -7,13 +7,14 @@ import pytest
 from needle import build_all_deftrees, build_program, parse_system
 from needle.codegen import phase1, phase2
 from needle.core import CONTROL, SPECIALIZED, AnyLit, H
-from needle.render import format_program, format_rule, format_trees
+from needle.render import (format_program, format_rule, format_trees,
+                           rule_section)
 
 from conftest import golden
 
 
 def rules_in(program, section):
-    return [r for r in program.rules if r.section == section]
+    return [r for r in program.rules if rule_section(r) == section]
 
 
 def by_origin(program, origin):
@@ -185,7 +186,7 @@ def test_countable_allocations(programs):
     assert allocs(cr, "dispatch") == [0]
     assert allocs(cr, "builtin-leaf") == [1, 1]       # the result literal
     assert allocs(cr, "builtin-dispatch") == [0, 0, 0, 0]
-    assert all(r.countable_allocs == 0 for r in cr.rules if r.section == "n")
+    assert all(r.countable_allocs == 0 for r in rules_in(cr, "n"))
 
     fib_cr = programs("fib", "cr")
     # add, fib, sub, fib, sub and two literals

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from needle import (build_program, evaluate, oracle_eval, parse_expr,
                     parse_system, validate_trace)
-from needle.core import AnyLit, App, Share, Var
+from needle.core import H, AnyLit, App, Share, Var
 from needle.render import format_node
 
 from conftest import CORPUS_NAMES, MODES
@@ -33,12 +33,13 @@ TERMS = 3
 
 
 def _subterms(term):
-    stack = [term]
+    """Each subterm of `term` with its path."""
+    stack = [((), term)]
     while stack:
-        t = stack.pop()
-        yield t
+        path, t = stack.pop()
+        yield path, t
         if t.__class__ is App:
-            stack.extend(t.args)
+            stack.extend((path + (i,), a) for i, a in enumerate(t.args))
 
 
 def _has_path(term, path):
@@ -52,17 +53,29 @@ def _has_path(term, path):
 def side_problems(rules):
     """Each rule whose sides break a side invariant, and how: a left side
     holds no `Share`, and a right side no `AnyLit`; each right-side `Var` is
-    bound on the left side, and each `Share` path leads into it."""
+    bound on the left side, and each `Share` path leads into it.  Phase 1
+    looks for H over a variable in one place only: a cr head rule holds one
+    at its dispatch path, or at the root if it is a collapse-default rule,
+    and no rule holds one anywhere else."""
     problems = []
     for rule in rules:
-        left = list(_subterms(rule.lhs))
+        left = [t for _, t in _subterms(rule.lhs)]
         bound = {t.name for t in left if t.__class__ in (Var, AnyLit)}
         problems += [(rule, t) for t in left if t.__class__ is Share]
-        for t in _subterms(rule.rhs) if rule.rhs is not None else ():
+        h_vars, want = [], None
+        if rule.lhs.label is H:
+            want = () if rule.origin == "collapse-default" \
+                else rule.dispatch_path
+        for path, t in _subterms(rule.rhs) if rule.rhs is not None else ():
             if t.__class__ is AnyLit or (
                     t.__class__ is Var and t.name not in bound) or (
                     t.__class__ is Share and not _has_path(rule.lhs, t.path)):
                 problems.append((rule, t))
+            elif t.__class__ is App and t.label is H \
+                    and t.args[0].__class__ is Var:
+                h_vars.append(path)
+        if h_vars != ([] if want is None else [want]):
+            problems.append((rule, h_vars))
     return problems
 
 

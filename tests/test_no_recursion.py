@@ -2,9 +2,9 @@
 
 A static check finds every cycle in the package's call graph, and a child
 interpreter left at CPython's default recursion limit takes rule sides at the
-parser's depth bound through every command.  Two more static checks, beside
-these, find imported names a module never uses and module-level definitions
-nothing refers to.
+parser's depth bound through every command.  Three more static checks, beside
+these, find imported names a module never uses, module-level definitions
+nothing refers to, and dataclass or `__slots__` fields nothing reads.
 """
 
 from __future__ import annotations
@@ -129,6 +129,46 @@ def test_every_definition_is_referenced():
                     unused.append(f"{path.name}: {node.name}")
     assert defined > 100
     assert unused == []
+
+
+def _fields(cls):
+    """The fields of a dataclass or a `__slots__` class, else ()."""
+    if any(getattr(d, "id", None) == "dataclass"
+           or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+           for d in cls.decorator_list):
+        return [s.target.id for s in cls.body
+                if isinstance(s, ast.AnnAssign)
+                and isinstance(s.target, ast.Name)]
+    for s in cls.body:
+        if isinstance(s, ast.Assign) and any(
+                getattr(t, "id", None) == "__slots__" for t in s.targets):
+            return list(ast.literal_eval(s.value))
+    return ()
+
+
+def test_every_field_is_read():
+    """Each field of a package dataclass or `__slots__` class is read as an
+    attribute somewhere in the sources, tests or benchmark.  A class that
+    reads its own instances through `fields` or `asdict` counts as read."""
+    read = set()
+    for path in (path for d in ("src", "tests", "perfbench")
+                 for path in (ROOT / d).rglob("*.py")):
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    unread, checked = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef) or any(
+                    getattr(getattr(n, "func", None), "id", None)
+                    in ("fields", "asdict") for n in ast.walk(cls)):
+                continue
+            for name in _fields(cls):
+                checked += 1
+                if name not in read:
+                    unread.append(f"{path.name}: {cls.name}.{name}")
+    assert checked > 40
+    assert unread == []
 
 
 def test_the_recursion_limit_is_left_alone():
