@@ -7,9 +7,8 @@ Three object programs can be produced from the same system:
   that walk constructor results.
 * mode "tr": the "cr" rules after two transformations: head-normalization of
   a bare variable is instantiated away (every operation that could produce
-  the variable's sort gets its own rule, and the copies share one right
-  side), and every `H(f(...))` collapses into a specialized symbol `f^H`,
-  once per shared right side.  Rules whose right side is rooted by a
+  the variable's sort gets its own rule), and every `H(f(...))` collapses
+  into a specialized symbol `f^H`.  Rules whose right side is rooted by a
   specialized symbol skip an evaluation-wrapper round trip; their
   applications are counted as shortcut steps.
 * mode "or": like "tr", but operation-rooted right sides are first rewritten
@@ -362,16 +361,12 @@ def _specialize_map(system):
     return mapping
 
 
-def _specialize_template(template, shift, specialized):
-    """Collapse H(f(...)) into f^H(...) throughout a template, and drop the
-    leading 0 of every Share path if `shift` (the H-rooted left side loses
-    its wrapper).
-
-    An H(Share(p)) stands for the call that a phase-1 copy holds at p in
-    its left side, so it stays in place as the hole each copy fills.  The
-    result is (template, path of the hole, p), or (template, None, None)."""
+def _specialize_template(template, lhs, specialized):
+    """Collapse H(f(...)) into f^H(...) throughout the right side of the
+    rule with left side `lhs`, and drop the leading 0 of every Share path if
+    `lhs` is H-rooted (it loses its wrapper).  An H(Share(p)), left by phase
+    1, becomes g^H over the arguments of the call g that `lhs` holds at p."""
     out, stack = [], [template]
-    share, hole_at, hole_path = None, -1, []  # hole_path is built backwards
     while stack:
         t = stack.pop()
         cls = t.__class__
@@ -379,10 +374,7 @@ def _specialize_template(template, shift, specialized):
             if t.label is H:
                 inner = t.args[0]
                 if inner.__class__ is Share:
-                    assert share is None, "at most one H(Share) per template"
-                    share, hole_at = inner.path, len(out)
-                    out.append(t)
-                    continue
+                    inner = pattern_at(lhs, inner.path)
                 if not (isinstance(inner, App) and inner.label.is_op):
                     raise AssertionError(f"phase 2 found H over {inner!r}")
                 t = App(specialized[inner.label], inner.args)
@@ -392,44 +384,25 @@ def _specialize_template(template, shift, specialized):
             start = len(out) - t.arity
             kids = tuple(out[start:])
             del out[start:]
-            if hole_at >= start:
-                hole_path.append(hole_at - start)
-                hole_at = start
             out.append(App(t, kids))
-        elif cls is Share and shift:
+        elif cls is Share and lhs.label is H:
             assert t.path and t.path[0] == 0
             out.append(Share(t.path[1:]))
         else:
             out.append(t)
-    if share is None:
-        return out[0], None, None
-    return out[0], tuple(reversed(hole_path)), share
+    return out[0]
 
 
 def phase2(rules, specialized):
     """Turn H(f(args)) = rhs into f^H(args) = rhs', collapsing every
-    wrapped call on the right side into its specialized symbol.
-
-    Each right side is specialized once, however many rules share it (all
-    phase-1 copies of a rule do).  A copy's H(Share(p)) is left as a hole
-    in the shared result, and each copy fills it with g^H over the
-    arguments of the call g at p in its own left side."""
-    done = {}  # (id of a right side, shift) -> _specialize_template's result
+    wrapped call on the right side into its specialized symbol.  Each
+    phase-1 copy of a shared right side is specialized on its own."""
     out = []
     for rule in rules:
         lhs, rhs, path = rule.lhs, rule.rhs, rule.dispatch_path
-        shift = lhs.label is H
         if rhs is not None:
-            key = (id(rhs), shift)
-            if key not in done:
-                done[key] = _specialize_template(rhs, shift, specialized)
-            rhs, hole_path, share = done[key]
-            if share is not None:
-                target = pattern_at(lhs, share)
-                assert isinstance(target, App) and target.label.is_op
-                rhs = pattern_subst(rhs, hole_path, App(
-                    specialized[target.label], target.args))
-        if shift:
+            rhs = _specialize_template(rhs, lhs, specialized)
+        if lhs.label is H:
             inner = lhs.args[0]
             assert isinstance(inner, App) and inner.label.is_op
             lhs = App(specialized[inner.label], inner.args)
@@ -441,19 +414,6 @@ def phase2(rules, specialized):
 
 
 # ---- program assembly ---------------------------------------------------------
-
-
-def _assert_no_h(rules):
-    """No H survives phase 2, also not as an unfilled hole H(Share(p))."""
-    for rule in rules:
-        assert rule.head is not H, f"H survived phase 2 in {rule.origin} lhs"
-        stack = [rule.rhs] if rule.rhs is not None else []
-        while stack:
-            t = stack.pop()
-            if isinstance(t, App):
-                assert t.label is not H, \
-                    f"H survived phase 2 in {rule.origin} rhs"
-                stack.extend(t.args)
 
 
 @acyclic
@@ -473,5 +433,4 @@ def build_program(system, mode):
         rules = phase1(system, rules)
         specialized = _specialize_map(system)
         rules = phase2(rules, specialized)
-        _assert_no_h(rules)
     return ObjectProgram(system, mode, rules, trees, specialized)

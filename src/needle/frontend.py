@@ -88,6 +88,7 @@ def scan(text):
         if text.startswith("--", i):
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         start_line, start_col = line, col
         if text.startswith("->", i):

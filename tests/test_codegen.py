@@ -93,7 +93,8 @@ def test_phase1_drops_rules_with_no_producing_operation(programs):
 
 def test_phase2_fills_each_copy_of_a_shared_right_side(programs, systems):
     # H(add(#a, y)) = H(add(#a, H(y))) gets one copy per operation that
-    # returns Int; the copies share one right side, specialized once
+    # returns Int; the copies share one right side, and phase 2 specializes
+    # each against its own left side
     staged = phase1(systems["length"], programs("length", "cr").rules)
     copies = [r for r in staged if r.origin == "builtin-dispatch"
               and r.lhs.args[0].label.name == "add"

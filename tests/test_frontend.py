@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needle import (SourceError, build_program, evaluate, oracle_eval,
                     parse_expr, parse_system)
@@ -34,6 +38,32 @@ def test_scan_comments_positions_and_negative_literals():
         ("eof", ""),
     ]
     assert toks[4].line == 2 and toks[4].col == 1
+
+
+def test_end_of_input_after_a_comment_points_past_it():
+    with pytest.raises(SourceError, match=r"^line 1:42: expected a term$"):
+        parse_system("op f() -> Int: f = 1 -- missing semicolon")
+
+
+# pieces that scan without error however they are joined
+_PIECES = ["ab", "x'", "_1", "12", "-3", "->", "(", ")", ",", ";", "|", "=",
+           ":", " ", "\t", "\r", "\n", "--", "-- c", "-- x\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES)).map("".join))
+def test_every_token_sits_at_its_position(text):
+    """Each token's line and column lead to its text, in order, with only
+    blanks and comments between, and end-of-input lies past the last
+    character."""
+    starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    end = 0
+    for tok in scan(text):
+        at = starts[tok.line - 1] + tok.col - 1
+        assert re.fullmatch(r"(?:[ \t\r\n]|--[^\n]*)*", text[end:at]), tok
+        assert text.startswith(tok.text, at), tok
+        end = at + len(tok.text)
+    assert tok.kind == "eof" and at == len(text)
 
 
 def test_scan_rejects_stray_characters():

@@ -1,8 +1,9 @@
 """needle walks rule sides, definitional trees and terms without recursion.
 
-A static check finds every cycle in the package's call graph, and a child
-interpreter left at CPython's default recursion limit takes rule sides at the
-parser's depth bound through every command.  Three more static checks, beside
+A static check finds every cycle in the package's call graph, in which a
+function passed as a value counts as called, and a child interpreter left at
+CPython's default recursion limit takes rule sides at the parser's depth
+bound through every command.  Three more static checks, beside
 these, find imported names a module never uses, module-level definitions
 nothing refers to, and dataclass or `__slots__` fields nothing reads.
 """
@@ -27,8 +28,9 @@ def _call_graph():
     """Calls between the package's functions, by name.
 
     A node is ("function", name) for a module-level or nested function and
-    ("method", name) for a method; `f()` calls every function named f and
-    `x.f()` every method named f, except `super().f()`.  Calls in a lambda
+    ("method", name) for a method.  Every load of a name f, a call `f()` or
+    a value as in `map(f, xs)`, reaches every function named f; `x.f()`
+    calls every method named f, except `super().f()`.  Names in a lambda
     belong to the function around it."""
     graph = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -45,10 +47,11 @@ def _call_graph():
                     node = stack.pop()
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                         continue
+                    if isinstance(node, ast.Name) \
+                            and isinstance(node.ctx, ast.Load):
+                        calls.add(("function", node.id))
                     func = getattr(node, "func", None)
-                    if isinstance(func, ast.Name):
-                        calls.add(("function", func.id))
-                    elif isinstance(func, ast.Attribute) and not (
+                    if isinstance(func, ast.Attribute) and not (
                             isinstance(func.value, ast.Call)
                             and getattr(func.value.func, "id", "") == "super"):
                         calls.add(("method", func.attr))
