@@ -15,6 +15,11 @@ Three object programs can be produced from the same system:
   to evaluate their demanded (needed) argument positions in place, which
   removes most dispatch steps.
 
+Each operation's H-rules come from its definitional tree, which holds
+argument positions only: codegen builds the pattern each tree node stands
+for, and a rule reached through an integer branch's default matches only a
+literal at that branch's position (a literal guard).
+
 Rule priority is list order; the matcher tries rules first to last.
 """
 
@@ -34,21 +39,15 @@ from .core import (
     N,
     NeedleError,
     Share,
+    SourceRule,
     Symbol,
     Var,
     acyclic,
     pattern_at,
     pattern_subst,
-    pattern_vars,
     var_paths,
 )
-from .deftree import (
-    DTBranch,
-    DTExempt,
-    DTRule,
-    build_all_deftrees,
-    demanded_args,
-)
+from .deftree import DTBranch, DTExempt, build_all_deftrees, demanded_args
 
 # Step classes, derived from rule origins.  "rewrite" and "shortcut" rules
 # correspond one-to-one to source rewrite steps; "dispatch" and "norm" rules
@@ -178,39 +177,42 @@ def _fresh_app(label, taken=()):
 
 def compile_operation(system, op, tree, demanded, wrap):
     """Object H-rules for `op`, in priority order: a branch's subtrees' rules
-    come first, then its fallback (default or guard) and its dispatch rule."""
+    come first, then its fallback (default or guard) and its dispatch rule.
+    A subtree's stack entry carries the pattern it stands for and `guards`:
+    the paths of the Int branches whose default it follows."""
     root_names = ["x", "y", "z", "w"][: op.arity]
     if op.arity > 4:
         root_names += [f"x{i}" for i in range(5, op.arity + 1)]
     out = []
-    stack = [(tree, App(op, tuple(map(Var, root_names, op.arg_sorts))))]
+    stack = [(tree, App(op, tuple(map(Var, root_names, op.arg_sorts))), ())]
     while stack:
         item = stack.pop()
         if item.__class__ is ObjectRule:
             out.append(item)
             continue
-        tree, pattern = item
+        tree, pattern, guards = item
         if isinstance(tree, DTExempt):
             out.append(ObjectRule(App(H, (pattern,)), None, "exempt"))
-        elif isinstance(tree, DTRule):
-            out.extend(_rule_leaf(system, tree, wrap, demanded))
+        elif isinstance(tree, SourceRule):
+            out.extend(_rule_leaf(system, tree, guards, wrap, demanded))
         else:
             stack.append(_dispatch_rule(pattern, tree.path))
-            taken = {v.name for v in pattern_vars(pattern)}
+            taken = set(var_paths(pattern))
             if isinstance(tree, DTBranch):
                 subs = [(sub, pattern_subst(pattern, tree.path,
-                                            _fresh_app(ctor, taken)))
+                                            _fresh_app(ctor, taken)), guards)
                         for ctor, sub in tree.children]
             else:
                 if tree.default is not None:
-                    stack.append((tree.default, pattern))
+                    stack.append((tree.default, pattern,
+                                  guards + (tree.path,)))
                 else:
                     guarded = pattern_subst(pattern, tree.path, AnyLit(
                         _fresh_names(1, taken)[0]))
                     stack.append(ObjectRule(App(H, (guarded,)), None,
                                             "exempt"))
-                subs = [(sub, pattern_subst(pattern, tree.path, Lit(value)))
-                        for value, sub in tree.children]
+                subs = [(sub, pattern_subst(pattern, tree.path, Lit(value)),
+                         guards) for value, sub in tree.children]
             stack.extend(reversed(subs))
     return out
 
@@ -222,17 +224,18 @@ def _dispatch_rule(pattern, path):
                       dispatch_path=(0,) + tuple(path))
 
 
-def _rule_leaf(system, leaf, wrap, demanded):
-    rule = leaf.rule
+def _rule_leaf(system, rule, guards, wrap, demanded):
+    """The object rules for source rule `rule`, whose variables at the paths
+    `guards` match only literals."""
     lhs_inner = rule.lhs
-    for path in leaf.guards:
+    for path in guards:
         var = pattern_at(lhs_inner, path)
         lhs_inner = pattern_subst(lhs_inner, path, AnyLit(var.name))
     lhs = App(H, (lhs_inner,))
     rhs = rule.rhs
 
     if isinstance(rhs, Var):
-        return _collapse_rules(system, rule, lhs_inner, rhs.name)
+        return _collapse_rules(system, rule, lhs_inner, guards, rhs.name)
     if isinstance(rhs, Lit) or (isinstance(rhs, App)
                                 and rhs.label.kind == CONSTRUCTOR):
         return [ObjectRule(lhs, rhs, "ctor-rooted", rule)]
@@ -241,10 +244,12 @@ def _rule_leaf(system, leaf, wrap, demanded):
     return [ObjectRule(lhs, _h(body), "op-rooted", rule)]
 
 
-def _collapse_rules(system, rule, lhs_inner, var_name):
-    """Expand a collapsing rule (rhs is a variable) per possible root."""
-    pos = var_paths(lhs_inner).get(var_name)
-    if pos is None:  # an Int branch turned the variable into a guard
+def _collapse_rules(system, rule, lhs_inner, guards, var_name):
+    """Expand a collapsing rule (rhs is a variable) per possible root;
+    `lhs_inner` holds literal guards at the paths `guards`."""
+    paths = var_paths(lhs_inner)
+    pos = paths[var_name]
+    if pos in guards:
         raise NeedleError(
             f"operation {rule.op.name!r}: rule {rule.index + 1} returns "
             f"{var_name!r}, which an integer branch guards; collapsing onto "
@@ -255,8 +260,7 @@ def _collapse_rules(system, rule, lhs_inner, var_name):
     if sort == INT_SORT:
         roots = [AnyLit(var_name)]
     else:
-        taken = {v.name for v in pattern_vars(lhs_inner)}
-        roots = [_fresh_app(ctor, taken) for ctor in system.sorts[sort]]
+        roots = [_fresh_app(ctor, paths) for ctor in system.sorts[sort]]
     out = [ObjectRule(App(H, (pattern_subst(lhs_inner, pos, root),)), share,
                       "collapse-instance", rule)
            for root in roots]
@@ -343,11 +347,11 @@ def phase1(system, rules):
         hx = pattern_at(rule.rhs, hpath)
         assert hx.__class__ is App and hx.label is H \
             and hx.args[0].__class__ is Var, rule.origin
-        xpath = var_paths(rule.lhs)[hx.args[0].name]
+        paths = var_paths(rule.lhs)
+        xpath = paths[hx.args[0].name]
         shared_rhs = pattern_subst(rule.rhs, hpath + (0,), Share(xpath))
-        taken = {v.name for v in pattern_vars(rule.lhs)}
         for g in system.ops_returning(pattern_at(rule.lhs, xpath).sort):
-            inst_lhs = pattern_subst(rule.lhs, xpath, _fresh_app(g, taken))
+            inst_lhs = pattern_subst(rule.lhs, xpath, _fresh_app(g, paths))
             out.append(ObjectRule(inst_lhs, shared_rhs, rule.origin,
                                   rule.source, rule.dispatch_path))
     return out

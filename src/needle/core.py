@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional
 
 # ---- symbols ----------------------------------------------------------------
 
@@ -170,17 +170,6 @@ class Share:
     path: tuple
 
 
-def pattern_vars(p) -> Iterator[Union[Var, AnyLit]]:
-    """The variable leaves (Var and AnyLit) of a pattern, left to right."""
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, App):
-            stack.extend(q.args[::-1])
-        elif not isinstance(q, Lit):
-            yield q
-
-
 def pattern_at(p, path):
     for i in path:
         p = p.args[i]
@@ -199,19 +188,19 @@ def pattern_subst(p, path, repl):
 
 
 def var_paths(p):
-    """Path of each `Var` in a pattern, by name, in pre-order (leftmost-
-    outermost first).  One path list is kept, so deep patterns cost no
-    quadratic copying."""
+    """Path of each variable leaf (`Var` or `AnyLit`) in a pattern, by name,
+    in pre-order (leftmost-outermost first).  One path list is kept, so deep
+    patterns cost no quadratic copying."""
     paths, path = {}, []  # `path` leads to the subpattern just popped
     stack = [(a, 0, i) for i, a in enumerate(p.args)][::-1]
     while stack:
         q, depth, i = stack.pop()
         del path[depth:]
         path.append(i)
-        if isinstance(q, Var):
-            paths[q.name] = tuple(path)
-        elif isinstance(q, App):
+        if isinstance(q, App):
             stack += [(a, depth + 1, j) for j, a in enumerate(q.args)][::-1]
+        elif not isinstance(q, Lit):
+            paths[q.name] = tuple(path)
     return paths
 
 

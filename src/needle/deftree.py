@@ -1,15 +1,18 @@
 """Definitional trees: the case-analysis structure behind each operation.
 
-A tree node either selects a rule, aborts (no rule can ever apply), or
-branches on the constructor (or integer literal) found at one argument
-position.  Construction picks the leftmost-outermost position at which every
-remaining rule demands a pattern; systems for which no such position exists
-are rejected.  Branching on integers supports a `default` child for rules
-with a variable at the branch position.
+A tree node either selects a rule (the leaf is the `SourceRule` itself),
+aborts (no rule can ever apply), or branches on the constructor (or integer
+literal) found at one argument position.  Construction picks the
+leftmost-outermost position at which every remaining rule demands a pattern;
+systems for which no such position exists are rejected.  Branching on
+integers supports a `default` child for rules with a variable at the branch
+position.
 
 A tree is built over argument positions, not patterns: each node knows only
 the paths and sorts of the positions its branches above left open.  It names
-no variable; `codegen` builds and names the pattern each node stands for.
+no variable and marks no literal guard; `codegen` builds and names the
+pattern each node stands for, and turns the variable a rule has at an
+integer branch it reaches through the default into a literal guard.
 
 `demanded_args` reads off the argument positions every path inspects; the
 compiler uses them, and the source strategy in `oracle.py` walks the trees
@@ -21,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BUILTIN, INT_SORT, App, Lit, NeedleError, Var, pattern_at
+from .core import (BUILTIN, INT_SORT, App, Lit, NeedleError, SourceRule, Var,
+                   pattern_at)
 
 
 class DefTreeError(NeedleError):
@@ -37,12 +41,6 @@ class DuplicateRule(DefTreeError):
 
 
 # ---- tree node types --------------------------------------------------------
-
-
-@dataclass
-class DTRule:
-    rule: object  # SourceRule
-    guards: tuple = ()  # lhs paths whose variable is literal-guarded
 
 
 @dataclass
@@ -77,11 +75,11 @@ def build_deftree(system, op):
     if not rules:
         return DTExempt()
     positions = tuple(((i,), sort) for i, sort in enumerate(op.arg_sorts))
-    root, subtasks = _split(system, op, positions, list(rules), ())
+    root, subtasks = _split(system, op, positions, list(rules))
     todo = [(root, *task) for task in reversed(subtasks)]
     while todo:
-        parent, index, positions, rules, guards = todo.pop()
-        tree, subtasks = _split(system, op, positions, rules, guards)
+        parent, index, positions, rules = todo.pop()
+        tree, subtasks = _split(system, op, positions, rules)
         if index is None:
             parent.default = tree
         else:
@@ -90,9 +88,9 @@ def build_deftree(system, op):
     return root
 
 
-def _split(system, op, positions, rules, guards):
+def _split(system, op, positions, rules):
     """The tree node for `rules` over the open argument `positions`, and its
-    subtrees to build as (child index, positions, rules, guards).
+    subtrees to build as (child index, positions, rules).
 
     `positions` holds the (path, sort) of each argument position no branch
     above has fixed, leftmost-outermost first."""
@@ -107,21 +105,21 @@ def _split(system, op, positions, rules, guards):
             f"operation {op.name!r}: rules {variants[0].index + 1} and "
             f"{variants[1].index + 1} have the same left side")
     if len(variants) == 1 and len(rules) == 1:
-        return DTRule(variants[0], guards), ()
+        return variants[0], ()
 
     # Strict inductive position: every rule has a constructor or literal.
     for k, subs in enumerate(columns):
         if all(isinstance(s, App) for s in subs):
-            return _ctor_branch(system, op, positions, k, rules, subs, guards)
+            return _ctor_branch(system, op, positions, k, rules, subs)
         if all(isinstance(s, Lit) for s in subs):
-            return _int_branch(positions, k, rules, subs, guards, False)
+            return _int_branch(positions, k, rules, subs, False)
     # Relaxed integer position: literals plus at least one variable rule.
     # A rule with a variable at every open position is legal here: it
     # becomes the branch default, applicable only when no literal matches.
     for k, subs in enumerate(columns):
         if (any(isinstance(s, Lit) for s in subs)
                 and all(isinstance(s, (Lit, Var)) for s in subs)):
-            return _int_branch(positions, k, rules, subs, guards, True)
+            return _int_branch(positions, k, rules, subs, True)
     if variants:
         others = [r for r in rules if r is not variants[0]]
         first, second = sorted([variants[0].index, others[0].index])
@@ -133,7 +131,7 @@ def _split(system, op, positions, rules, guards):
         f"rules {sorted(r.index + 1 for r in rules)}")
 
 
-def _ctor_branch(system, op, positions, k, rules, subs, guards):
+def _ctor_branch(system, op, positions, k, rules, subs):
     """Each child opens its constructor's argument positions in place of
     position `k`."""
     path, sort = positions[k]
@@ -148,12 +146,12 @@ def _ctor_branch(system, op, positions, k, rules, subs, guards):
                          for i, arg_sort in enumerate(ctor.arg_sorts))
             subtasks.append((len(children),
                              positions[:k] + args + positions[k + 1:],
-                             sub_rules, guards))
+                             sub_rules))
         children.append((ctor, DTExempt()))
     return DTBranch(path, sort, children), subtasks
 
 
-def _int_branch(positions, k, rules, subs, guards, with_default):
+def _int_branch(positions, k, rules, subs, with_default):
     """Each literal child closes position `k`; the default keeps it open."""
     path = positions[k][0]
     rest = positions[:k] + positions[k + 1:]
@@ -165,11 +163,11 @@ def _int_branch(positions, k, rules, subs, guards, with_default):
     for i, value in enumerate(lits):
         sub_rules = [r for r, sub in zip(rules, subs)
                      if isinstance(sub, Lit) and sub.value == value]
-        subtasks.append((i, rest, sub_rules, guards))
+        subtasks.append((i, rest, sub_rules))
     if with_default:
         var_rules = [r for r, sub in zip(rules, subs) if isinstance(sub, Var)]
         if var_rules:
-            subtasks.append((None, positions, var_rules, guards + (path,)))
+            subtasks.append((None, positions, var_rules))
     return DTIntBranch(path, [(value, None) for value in lits]), subtasks
 
 
@@ -188,7 +186,7 @@ def demanded_args(op, tree):
     stack = [(tree, frozenset())]
     while stack:
         t, inspected = stack.pop()
-        if isinstance(t, (DTRule, DTExempt)):
+        if isinstance(t, (SourceRule, DTExempt)):
             common = inspected if common is None else common & inspected
             continue
         inspected = inspected | {t.path[0]}

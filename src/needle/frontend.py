@@ -16,6 +16,7 @@ integer literals and the builtin operations `add` and `sub` are predeclared.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -59,7 +60,15 @@ MAX_RULE_DEPTH = 1000
 
 # ---- scanner ----------------------------------------------------------------
 
-PUNCT = {"(", ")", ",", ";", "|", "=", ":", "->"}
+# One group per token kind, tried in order.  `[^\W\d]` also admits digits
+# that are not decimal, such as `²`: `scan` rejects a name starting so.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<blank>[ \t\r]+|--[^\n]*)
+  | (?P<punct>->|[(),;|=:])
+  | (?P<int>-?\d+)
+  | (?P<name>[^\W\d][\w']*)
+""", re.VERBOSE)
 
 
 @dataclass
@@ -71,54 +80,20 @@ class Token:
 
 
 def scan(text):
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        if text.startswith("->", i):
-            tokens.append(Token("punct", "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c.isdecimal() or (c == "-" and i + 1 < n
-                             and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(Token("name", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in "(),;|=:":
-            tokens.append(Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise SourceError(f"unexpected character {c!r}", line, col)
+    tokens, i, line, col = [], 0, 1, 1
+    while i < len(text):
+        match = _TOKEN.match(text, i)
+        kind = match and match.lastgroup
+        if kind is None or kind == "name" and not (
+                text[i].isalpha() or text[i] == "_"):
+            raise SourceError(f"unexpected character {text[i]!r}", line, col)
+        if kind == "newline":
+            line, col = line + 1, 1
+        else:
+            if kind != "blank":
+                tokens.append(Token(kind, match.group(), line, col))
+            col += match.end() - i
+        i = match.end()
     tokens.append(Token("eof", "", line, col))
     return tokens
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (BUILTIN, App, Lit, Node, Symbol, Var, acyclic, child_at,
-                   int_op, resolve)
-from .deftree import DTBranch, DTExempt, DTRule, build_all_deftrees
+from .core import (BUILTIN, App, Lit, Node, SourceRule, Symbol, Var, acyclic,
+                   child_at, int_op, resolve)
+from .deftree import DTBranch, DTExempt, build_all_deftrees
 from .render import path_str
 from .runtime import Replay, source_label, step_budget
 
@@ -102,8 +102,8 @@ def _demand(trees, node):
         return Redex(node, None)
     cur = trees[label]
     while True:
-        if isinstance(cur, DTRule):
-            return Redex(node, cur.rule)
+        if isinstance(cur, SourceRule):
+            return Redex(node, cur)
         if isinstance(cur, DTExempt):
             return Exempt(node)
         sub = child_at(node, cur.path)

@@ -7,12 +7,13 @@ from .core import (
     AnyLit,
     Lit,
     Share,
+    SourceRule,
     Var,
     pattern_at,
-    pattern_vars,
     resolve,
+    var_paths,
 )
-from .deftree import DTBranch, DTExempt, DTRule
+from .deftree import DTBranch, DTExempt
 from .runtime import Replay
 
 # ---- terms -------------------------------------------------------------------
@@ -107,7 +108,7 @@ def format_rule(rule):
         rhs = "abort"
     elif rule.builtin_op is not None:
         op = "+" if rule.builtin_op == "add" else "-"
-        a, b = (v.name for v in pattern_vars(rule.lhs))
+        a, b = var_paths(rule.lhs)
         rhs = f"<{a} {op} {b}>"
     else:
         rhs = format_template(rule.rhs, rule.lhs, literals)[0]
@@ -152,10 +153,9 @@ def format_tree(tree, indent=0):
         pad = "  " * indent
         if tree.__class__ is str:
             lines.append(pad + tree)
-        elif isinstance(tree, DTRule):
-            rule = tree.rule
-            lhs, literals = format_template(rule.lhs)
-            rhs = format_template(rule.rhs, rule.lhs, literals)[0]
+        elif isinstance(tree, SourceRule):
+            lhs, literals = format_template(tree.lhs)
+            rhs = format_template(tree.rhs, tree.lhs, literals)[0]
             lines.append(f"{pad}rule {lhs} = {rhs}")
         elif isinstance(tree, DTExempt):
             lines.append(f"{pad}exempt")

@@ -211,13 +211,12 @@ def _compile_groups(rules):
 
     A group is (slot count, entries), one entry per rule in priority order:
     (match code, step class index, countable allocations, nodes created,
-    builder, variable slots, fresh evaluable paths, rule).  The paths lead
-    from the contractum's root to each evaluable node the right side
-    creates, in reverse post-order.  Slot 0 is
-    the redex and, under H or N, slot 1 its child, which selection fetches
-    and checks against the group's key.  Match instructions are (opcode,
-    slot, parent slot, child index, payload) in pre-order, so a slot's
-    parent is always filled first.
+    builder, variable slots, fresh evaluable paths, rule); `_builder` gives
+    the nodes created, the builder and the paths.  Slot 0 is the redex and,
+    under H or N, slot 1 its child, which selection fetches and checks
+    against the group's key.  Match instructions are (opcode, slot, parent
+    slot, child index, payload) in pre-order, so a slot's parent is always
+    filled first.
     """
     groups = {}
     for rule in rules:
@@ -245,51 +244,36 @@ def _compile_groups(rules):
                 var_slot[pattern.name] = slot
             if not (wrapped and slot == 1):
                 code.append((op, slot, parent, idx, payload))
-        build, created = _builder(rule, var_slot, slot_of)
+        build, created, fresh = _builder(rule, var_slot, slot_of)
         entries.append((tuple(code), _STEP_CLASS[rule.step_class],
                         rule.countable_allocs, created, build,
-                        tuple(var_slot.values()), _evaluable_paths(rule.rhs),
-                        rule))
+                        tuple(var_slot.values()), fresh, rule))
     return {key: (len(slot_of) + 1, tuple(entries))
             for key, (slot_of, entries) in groups.items()}
 
 
-def _evaluable_paths(template):
-    """Paths to the evaluable nodes a right side creates, in reverse
-    post-order (a right-to-left pre-order)."""
-    if template.__class__ is not App:
-        return ()
-    paths, stack = [], [(template, ())]
-    while stack:
-        t, path = stack.pop()
-        if t.label.kind in _EVALUABLE_KINDS:
-            paths.append(path)
-        stack += [(child, path + (i,)) for i, child in enumerate(t.args)
-                  if child.__class__ is App]
-    return tuple(paths)
-
-
 def _builder(rule, var_slot, slot_of):
-    """The rule's contraction as a closure over the match slots, and the
-    number of nodes it creates."""
+    """The rule's contraction as a closure over the match slots, the number
+    of nodes it creates, and the paths from the contractum's root to the
+    evaluable nodes among them, in reverse post-order."""
     if rule.builtin_op is not None:
         name = rule.builtin_op
         a, b = var_slot.values()
-        return (lambda s: Node(int_op(name, s[a].label, s[b].label))), 1
+        return (lambda s: Node(int_op(name, s[a].label, s[b].label))), 1, ()
     if rule.rhs is None:
-        return None, 0
-    # Post-order: an application's symbol is pushed below its children, and
-    # `level` counts those opened and not yet built: the depth of the next.
-    out, stages, created, level = [], [], 0, 0
-    stack = [rule.rhs]
+        return None, 0, ()
+    # Post-order: an application's symbol is pushed below its children, each
+    # with the path that leads to it.
+    out, stages, fresh, created = [], [], [], 0
+    stack = [(rule.rhs, ())]
     while stack:
-        t = stack.pop()
+        t, path = stack.pop()
         cls = t.__class__
         if cls is App:
             created += 1
-            level += 1
-            stack.append(t.label)
-            stack += t.args[::-1]
+            stack.append((t.label, path))
+            stack += [(arg, path + (i,))
+                      for i, arg in enumerate(t.args)][::-1]
         elif cls is Var:
             out.append(itemgetter(var_slot[t.name]))
         elif cls is Share:
@@ -301,24 +285,25 @@ def _builder(rule, var_slot, slot_of):
             created += 1
             out.append(lambda s, value=t.value: Node(value))
         else:
-            level -= 1
+            if t.kind in _EVALUABLE_KINDS:
+                fresh.append(path)
             kids = out[len(out) - t.arity:]
             del out[len(out) - t.arity:]
             build = _application(t, kids)
-            if level and level % MAX_NESTING == 0:  # built ahead, in a slot
+            if path and len(path) % MAX_NESTING == 0:  # built ahead, in a slot
                 stages.append((-1 - len(stages), build))
                 build = itemgetter(stages[-1][0])
             out.append(build)
-    top = out[0]
+    top, fresh = out[0], tuple(reversed(fresh))
     if not stages:
-        return top, created
+        return top, created, fresh
 
     def staged(s):
         s = s + [None] * len(stages)  # the tail slots
         for slot, stage in stages:
             s[slot] = stage(s)
         return top(s)
-    return staged, created
+    return staged, created, fresh
 
 
 def _application(label, kids):

@@ -63,6 +63,17 @@ def test_int_branch_compiles_guarded_rules(programs):
     ]
 
 
+def test_literal_guards_follow_every_int_default_above_the_rule():
+    """A rule reached through two integer branches' defaults matches only
+    literals at both positions; one reached through a literal child keeps
+    its variable there."""
+    system = parse_system("op f(Int, Int) -> Int: "
+                          "f(0, y) = 1  f(x, 0) = 2  f(x, y) = sub(x, y);")
+    listed = format_program(build_program(system, "cr")).splitlines()
+    assert "H(f(#x, 0)) = 2  ; ctor-rooted" in listed
+    assert "H(f(#x, #y)) = H(sub(#x, #y))  ; op-rooted" in listed
+
+
 def test_dispatch_paths_locate_the_forced_argument(programs):
     (dispatch,) = by_origin(programs("append", "cr"), "dispatch")
     assert dispatch.dispatch_path == (0, 0)

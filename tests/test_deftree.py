@@ -11,11 +11,11 @@ from needle import (
     build_deftree,
     parse_system,
 )
+from needle.core import SourceRule
 from needle.deftree import (
     DTBranch,
     DTExempt,
     DTIntBranch,
-    DTRule,
     demanded_args,
 )
 
@@ -35,8 +35,8 @@ def test_append_tree_branches_on_first_argument(systems):
     (nil, sub_nil), (cons, sub_cons) = tree.children
     assert (nil.name, cons.name) == ("Nil", "Cons")
     rules = system.rules[system.symbols["append"]]
-    assert sub_nil == DTRule(rules[0])
-    assert sub_cons == DTRule(rules[1])
+    assert sub_nil is rules[0]
+    assert sub_cons is rules[1]
 
 
 def test_fib_tree_is_a_literal_branch_with_default(systems):
@@ -45,9 +45,9 @@ def test_fib_tree_is_a_literal_branch_with_default(systems):
     assert isinstance(tree, DTIntBranch)
     assert tree.path == (0,)
     rules = system.rules[system.symbols["fib"]]
-    assert [(v, sub.rule.index) for v, sub in tree.children] == [(0, 0), (1, 1)]
-    # the variable rule becomes the default; its variable is literal-guarded
-    assert tree.default == DTRule(rules[2], guards=((0,),))
+    assert [(v, sub.index) for v, sub in tree.children] == [(0, 0), (1, 1)]
+    # the variable rule becomes the default (codegen guards its variable)
+    assert tree.default is rules[2]
 
 
 def test_head_tree_marks_the_missing_constructor_exempt(systems):
@@ -55,14 +55,14 @@ def test_head_tree_marks_the_missing_constructor_exempt(systems):
     tree = tree_for(system, "head")
     children = dict((c.name, sub) for c, sub in tree.children)
     assert children["Nil"] == DTExempt()
-    assert isinstance(children["Cons"], DTRule)
+    assert isinstance(children["Cons"], SourceRule)
 
 
 def test_nullary_operation_tree_is_a_plain_rule(systems):
     system = systems["loop"]
     tree = tree_for(system, "loop")
-    assert isinstance(tree, DTRule)
-    assert tree.rule.op.name == "loop"
+    assert isinstance(tree, SourceRule)
+    assert tree.op.name == "loop"
 
 
 def test_nested_branching_descends_into_subpatterns():
@@ -80,7 +80,7 @@ def test_nested_branching_descends_into_subpatterns():
     assert isinstance(sub_cons, DTBranch)
     assert sub_cons.path == (0, 0) and sub_cons.sort == "Pair"
     (_, leaf), = sub_cons.children
-    assert isinstance(leaf, DTRule)
+    assert isinstance(leaf, SourceRule)
 
 
 def test_trees_branch_on_literals_without_default():

@@ -45,9 +45,29 @@ def test_end_of_input_after_a_comment_points_past_it():
         parse_system("op f() -> Int: f = 1 -- missing semicolon")
 
 
+def test_scan_character_classes():
+    """Names start with a letter or `_` and go on with letters, digits of
+    any script, `_` and `'`; an int is decimal digits of any script after
+    an optional `-`; `--` starts a comment even before `>`."""
+    for text in ("é٣", "ǅx", "_1", "x'"):
+        assert [(t.kind, t.text) for t in scan(text)][0] == ("name", text)
+    for text in ("٣", "-3"):
+        assert [(t.kind, t.text) for t in scan(text)][0] == ("int", text)
+    assert [(t.kind, t.text) for t in scan("->")][0] == ("punct", "->")
+    assert [t.kind for t in scan("-->x")] == ["eof"]
+
+
+@pytest.mark.parametrize("char", ["²", "½", "Ⅻ"])
+def test_scan_rejects_digits_that_are_not_decimal(char):
+    with pytest.raises(SourceError,
+                       match=f"^line 2:3: unexpected character '{char}'$"):
+        scan(f"f\n  {char}x")
+
+
 # pieces that scan without error however they are joined
 _PIECES = ["ab", "x'", "_1", "12", "-3", "->", "(", ")", ",", ";", "|", "=",
-           ":", " ", "\t", "\r", "\n", "--", "-- c", "-- x\n"]
+           ":", " ", "\t", "\r", "\n", "--", "-- c", "-- x\n", "é", "٣",
+           "ǅ"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,7 +5,8 @@ function passed as a value counts as called, and a child interpreter left at
 CPython's default recursion limit takes rule sides at the parser's depth
 bound through every command.  Three more static checks, beside
 these, find imported names a module never uses, module-level definitions
-nothing refers to, and dataclass or `__slots__` fields nothing reads.
+and assigned names nothing refers to, and dataclass or `__slots__` fields
+nothing reads.
 """
 
 from __future__ import annotations
@@ -114,9 +115,22 @@ def _references(node):
     return counts
 
 
+def _bound_names(node):
+    """The names a module-level statement defines: a function's or class's
+    name, or every name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = getattr(node, "targets", None) or [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    return []
+
+
 def test_every_definition_is_referenced():
-    """Each module-level function and class of the package is named
-    somewhere in the sources, tests or benchmark outside its own body."""
+    """Each module-level function, class and assigned name of the package is
+    named somewhere in the sources, tests or benchmark outside its own
+    statement, or exported in its module's `__all__`."""
     total = {}
     for path in sorted(path for d in ("src", "tests", "perfbench")
                        for path in (ROOT / d).rglob("*.py")):
@@ -124,12 +138,17 @@ def test_every_definition_is_referenced():
             total[name] = total.get(name, 0) + count
     unused, defined = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        body = ast.parse(path.read_text(), str(path)).body
+        exported = {"__all__"}
+        for node in body:
+            if "__all__" in _bound_names(node):
+                exported.update(ast.literal_eval(node.value))
+        for node in body:
+            for name in _bound_names(node):
                 defined += 1
-                own = _references(node).get(node.name, 0)
-                if total.get(node.name, 0) == own:
-                    unused.append(f"{path.name}: {node.name}")
+                own = _references(node).get(name, 0)
+                if total.get(name, 0) == own and name not in exported:
+                    unused.append(f"{path.name}: {name}")
     assert defined > 100
     assert unused == []
 
