@@ -117,14 +117,6 @@ def acyclic(fn):
     return paused
 
 
-def child_at(node, path):
-    """Resolved node at `path` (a tuple of child indices) below `node`."""
-    cur = resolve(node)
-    for i in path:
-        cur = resolve(cur.children[i])
-    return cur
-
-
 # ---- rule sides -------------------------------------------------------------
 #
 # Both sides of a rule are terms over one signature with variables.  On a

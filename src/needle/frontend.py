@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, count
 
 from .core import (
     BUILTIN,
@@ -243,14 +244,20 @@ class _Parser:
     # rules --------------------------------------------------------------
 
     def parse_rule(self, op):
+        start = self.pos
         lhs_raw = self.parse_term()
+        # Wildcards take the first names of `_`, `_2`, `_3`, ... that no
+        # variable of the left side has.
+        taken = {tok.text for tok in self.tokens[start:self.pos]} - {"_"}
+        wilds = (name for name in chain(["_"], map("_{}".format, count(2)))
+                 if name not in taken)
         self.expect("punct", "=")
         rhs_raw = self.parse_term()
         var_sorts = {}
         app = lambda sym, args, *_: App(sym, args)
         lhs = self.check_side(
             lhs_raw, op, app, partial(self.check_pattern, op=op,
-                                      var_sorts=var_sorts, wilds=[0]))
+                                      var_sorts=var_sorts, wilds=wilds))
         rhs = self.check_side(rhs_raw, op.result_sort, app,
                               partial(self.check_rhs, var_sorts=var_sorts))
         rule = SourceRule(op, lhs, rhs, len(self.system.rules[op]))
@@ -340,8 +347,7 @@ class _Parser:
                 self.fail(f"integer literal where {sort!r} expected", tok)
             return Lit(payload)
         if kind == "wild":
-            wilds[0] += 1
-            name = "_" if wilds[0] == 1 else f"_{wilds[0]}"
+            name = next(wilds)
             var_sorts[name] = sort
             return Var(name, sort)
         name, args = payload

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (BUILTIN, App, Lit, Node, SourceRule, Symbol, Var, acyclic,
-                   child_at, int_op, resolve)
+                   int_op, resolve)
 from .deftree import DTBranch, DTExempt, build_all_deftrees
 from .render import path_str
 from .runtime import Replay, source_label, step_budget
@@ -106,7 +106,9 @@ def _demand(trees, node):
             return Redex(node, cur)
         if isinstance(cur, DTExempt):
             return Exempt(node)
-        sub = child_at(node, cur.path)
+        sub = node  # live: a step forwards only the call it contracts
+        for i in cur.path:
+            sub = resolve(sub.children[i])
         sub_label = sub.label
         if not isinstance(sub_label, int) and sub_label.is_op:
             return sub
@@ -312,14 +314,18 @@ def validate_trace(system, result, trees=None):
         src = None
         if rule.step_class in ("dispatch", "norm"):
             if rule.dispatch_path is not None:
-                sub = _forced(replay, step.redex, rule.dispatch_path)
-                if sub is None:
-                    faults.append(("dispatch-target",
-                                   "dispatch rule does not fit the redex"))
-                elif not (isinstance(sub.label, Symbol) and sub.label.is_op):
-                    faults.append(("dispatch-target", f"dispatch forced a "
-                                   f"non-operation node "
-                                   f"{_where(replay, result.start, sub)}"))
+                sub = replay.resolve(step.redex)
+                for j in rule.dispatch_path:
+                    if j >= len(sub.children):
+                        faults.append(("dispatch-target", "dispatch rule "
+                                       "does not fit the redex"))
+                        break
+                    sub = replay.resolve(sub.children[j])
+                else:
+                    if not (isinstance(sub.label, Symbol) and sub.label.is_op):
+                        faults.append(("dispatch-target", f"dispatch forced "
+                                       f"a non-operation node "
+                                       f"{_where(replay, result.start, sub)}"))
             target = image.get(redex)
             replay.apply(step)
             if target is None or not _same_graph(
@@ -375,16 +381,6 @@ def validate_trace(system, result, trees=None):
                 break
             stack.extend(node.children)
     return ValidationReport(violations, proper)
-
-
-def _forced(replay, redex, path):
-    """The node at `path` below `redex`, or None if there is none."""
-    node = replay.resolve(redex)
-    for j in path:
-        if j >= len(node.children):
-            return None
-        node = replay.resolve(node.children[j])
-    return node
 
 
 def _where(replay, root, node):

@@ -193,7 +193,8 @@ def trace_states(result):
     Every state is shown except the output of literal-normalization steps
     (`N(k) -> k`), which change nothing visible; the final state is always
     shown.  Each state is rendered in one pass over the nodes it shows, with
-    one `Replay.resolve` per node.
+    one `Replay.resolve` per node: a logged redex is the node its parent
+    holds, so that follows at most one replacement.
     """
     assert result.trace is not None
     replay = Replay()

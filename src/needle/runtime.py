@@ -18,7 +18,7 @@ contractum.  So the node a parent holds always forwards straight to the
 newest contractum, each superseded one loses its last reference and is
 freed, and an untraced run holds only the live graph and its pending
 wrappers: a divergent run takes constant memory.  The rewrite log names
-the live node as each step's redex.
+the popped node, the one a parent holds, as each step's redex.
 
 The first evaluation of a program compiles its rules into slot code, one
 group per redex shape, that later evaluations reuse.  Rule selection runs
@@ -146,7 +146,8 @@ class NoRuleError(EvaluationError):
 
 @dataclass(slots=True)
 class TraceStep:
-    """One contraction: `rule` replaced `redex` by `contractum`."""
+    """One contraction: `rule` replaced `redex`, the node its parent holds
+    (resolved before the step, the node the rule matched), by `contractum`."""
 
     rule: object
     redex: Node
@@ -156,10 +157,12 @@ class TraceStep:
 class Replay:
     """The graph of a traced run as of any step, rebuilt from its log.
 
-    A traced run keeps its start root and every (redex, contractum) pair.
-    Feed the steps in order to `apply`; `resolve` then follows the
-    replacements made so far.  The nodes' own `forward` pointers cannot
-    serve, because `core.resolve` compresses them to the final result.
+    A traced run keeps its start root and every (redex, contractum) pair;
+    a redex is the node a parent holds, and resolved in the state before its
+    step it gives the node the rule matched.  Feed the steps in order to
+    `apply`; `resolve` then follows the replacements made so far.  The
+    nodes' own `forward` pointers cannot serve, because `core.resolve`
+    compresses them to the final result.
     """
 
     def __init__(self):
@@ -169,27 +172,19 @@ class Replay:
         self.forward[step.redex] = step.contractum
 
     def resolve(self, node):
-        """Follow the replacements applied so far, compressing the path.
-
-        Entries are only ever added, so a compressed path still leads to
-        the node of every later step.
-        """
+        """The node `node` stands for after the replacements applied so far:
+        one at most, as a redex the log names is never a contractum."""
         forward = self.forward
-        target = node
-        while target in forward:
-            target = forward[target]
-        while node is not target:
-            nxt = forward[node]
-            forward[node] = target
-            node = nxt
-        return target
+        while node in forward:
+            node = forward[node]
+        return node
 
     def erased(self, node):
         """The node `node` stands for once evaluation wrappers are spliced out."""
         forward = self.forward
         while True:
-            if node in forward:
-                node = self.resolve(node)
+            while node in forward:
+                node = forward[node]
             label = node.label
             if label is not H and label is not N:
                 return node
@@ -428,7 +423,7 @@ def evaluate(program, expr, max_steps=None, trace=False):
         replacement = build(slots)
         held.forward = node.forward = replacement
         if trace is not None:
-            trace.append(TraceStep(rule, node, replacement))
+            trace.append(TraceStep(rule, held, replacement))
         for path in fresh:
             if not path:  # an evaluable contractum root: `held` stands for it
                 push(held)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from needle import (SourceError, build_program, evaluate, oracle_eval,
                     parse_expr, parse_system)
+from needle.cli import main
 from needle.core import App, Lit, Node, Var
 from needle.frontend import scan
 from needle.render import format_node
@@ -186,6 +187,31 @@ def test_wildcards_become_distinct_variables():
     pats = rule.lhs.args[0].args
     assert [p.name for p in pats] == ["_", "_2"]
     assert [p.sort for p in pats] == ["Int", "Int"]
+
+
+# Left sides where a variable has a name a wildcard would be given: the
+# wildcards must take other names, and every mode must return the value the
+# source rules give.
+SHADOWING = {
+    "f(_2, _, _) = _2": ("f(_2, _, _3)", 1),
+    "f(_, _, _2) = _2": ("f(_, _3, _2)", 3),
+}
+
+
+def test_wildcards_never_take_a_variable_name(tmp_path, capsys):
+    for rule, (lhs, value) in SHADOWING.items():
+        path = tmp_path / "shadow.rw"
+        path.write_text(f"op f(Int, Int, Int) -> Int:\n    {rule};\n")
+        assert main(["tree", str(path)]) == 0
+        assert capsys.readouterr().out == f"op f\n  rule {lhs} = _2\n"
+        for mode in ("source", "cr", "tr", "or"):
+            assert main(["eval", str(path), "f(1, 2, 3)",
+                         "--mode", mode]) == 0
+            assert capsys.readouterr().out == f"{value}\n", (rule, mode)
+        for mode in ("cr", "tr", "or"):
+            assert main(["validate", str(path), "f(1, 2, 3)",
+                         "--mode", mode]) == 0, (rule, mode)
+            capsys.readouterr()
 
 
 def test_right_side_checks():

@@ -119,6 +119,10 @@ def test_validation_accepts_honest_traces(systems, programs):
         for mode in ("cr", "tr", "or"):
             expr, _ = parse_expr(systems[name], text)
             res = evaluate(programs(name, mode), expr, trace=True)
+            # no step's redex is a contractum: the log names held nodes
+            contracta = {step.contractum for step in res.trace}
+            assert not any(step.redex in contracta for step in res.trace), \
+                (name, mode)
             report = validate_trace(systems[name], res)
             assert report.ok, (name, mode, report.violations[:3])
             assert report.proper_steps == res.proper_steps
