@@ -13,7 +13,7 @@ import sys
 from .codegen import build_program
 from .core import NeedleError, acyclic
 from .deftree import DefTreeError, build_all_deftrees
-from .frontend import SourceError, parse_expr, parse_system
+from .frontend import parse_expr, parse_system
 from .oracle import oracle_eval, validate_trace
 from .render import (
     format_counter_table,
@@ -220,16 +220,10 @@ def main(argv=None):
         # Scanning, parsing and rendering allocate, and with the collector on
         # each allocation burst scans every object of a large program.
         return acyclic(args.func)(args)
-    except SourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except DefTreeError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except NeedleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (NeedleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:

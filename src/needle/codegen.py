@@ -47,7 +47,7 @@ from .core import (
     pattern_subst,
     var_paths,
 )
-from .deftree import DTBranch, DTExempt, build_all_deftrees, demanded_args
+from .deftree import DTBranch, build_all_deftrees, demanded_args
 
 # Step classes, derived from rule origins.  "rewrite" and "shortcut" rules
 # correspond one-to-one to source rewrite steps; "dispatch" and "norm" rules
@@ -83,14 +83,6 @@ class ObjectRule:
         return self.lhs.label
 
     @property
-    def exempt(self):
-        return self.origin == "exempt"
-
-    @property
-    def is_literal_norm(self):
-        return self.origin == "literal-norm"
-
-    @property
     def builtin_op(self):
         """The name of the builtin a builtin-leaf rule computes, else None."""
         if self.origin != "builtin-leaf":
@@ -108,26 +100,6 @@ class ObjectRule:
             return "shortcut"
         return cls
 
-    @property
-    def countable_allocs(self):
-        """Fresh data nodes (signature symbols and literals) the rule
-        allocates.  Evaluation wrappers and specialized symbols are control
-        bookkeeping and are not counted; shared (reused) nodes allocate
-        nothing.  Dispatch, norm and exempt rules count none."""
-        if self.origin == "builtin-leaf":
-            return 1  # the result literal
-        if self.step_class not in ("rewrite", "shortcut"):
-            return 0
-        total, stack = 0, [self.rhs]
-        while stack:
-            t = stack.pop()
-            if t.__class__ is Lit:
-                total += 1
-            elif t.__class__ is App:
-                total += t.label.is_data
-                stack.extend(t.args)
-        return total
-
 
 @dataclass
 class ObjectProgram:
@@ -135,7 +107,6 @@ class ObjectProgram:
     mode: str
     rules: list
     trees: dict
-    specialized: dict  # operation Symbol -> its f^H Symbol (tr/or only)
     rule_groups: Optional[dict] = None  # filled lazily by the evaluator
 
 
@@ -175,7 +146,7 @@ def _fresh_app(label, taken=()):
 # ---- head-normalization rules for one operation ------------------------------
 
 
-def compile_operation(system, op, tree, demanded, wrap):
+def compile_operation(system, op, tree, demanded):
     """Object H-rules for `op`, in priority order: a branch's subtrees' rules
     come first, then its fallback (default or guard) and its dispatch rule.
     A subtree's stack entry carries the pattern it stands for and `guards`:
@@ -191,10 +162,10 @@ def compile_operation(system, op, tree, demanded, wrap):
             out.append(item)
             continue
         tree, pattern, guards = item
-        if isinstance(tree, DTExempt):
+        if tree is None:
             out.append(ObjectRule(App(H, (pattern,)), None, "exempt"))
         elif isinstance(tree, SourceRule):
-            out.extend(_rule_leaf(system, tree, guards, wrap, demanded))
+            out.extend(_rule_leaf(system, tree, guards, demanded))
         else:
             stack.append(_dispatch_rule(pattern, tree.path))
             taken = set(var_paths(pattern))
@@ -224,9 +195,10 @@ def _dispatch_rule(pattern, path):
                       dispatch_path=(0,) + tuple(path))
 
 
-def _rule_leaf(system, rule, guards, wrap, demanded):
+def _rule_leaf(system, rule, guards, demanded):
     """The object rules for source rule `rule`, whose variables at the paths
-    `guards` match only literals."""
+    `guards` match only literals.  In mode "or", `demanded` (else None) maps
+    each operation to its demanded argument indices."""
     lhs_inner = rule.lhs
     for path in guards:
         var = pattern_at(lhs_inner, path)
@@ -240,7 +212,7 @@ def _rule_leaf(system, rule, guards, wrap, demanded):
                                 and rhs.label.kind == CONSTRUCTOR):
         return [ObjectRule(lhs, rhs, "ctor-rooted", rule)]
     # operation- or builtin-rooted right side
-    body = _wrap_needed(rhs, demanded) if wrap else rhs
+    body = rhs if demanded is None else _wrap_needed(rhs, demanded)
     return [ObjectRule(lhs, _h(body), "op-rooted", rule)]
 
 
@@ -425,16 +397,12 @@ def build_program(system, mode):
     assert mode in ("cr", "tr", "or"), mode
     trees = build_all_deftrees(system)
     demanded = {op: demanded_args(op, trees.get(op))
-                for op in system.all_operations}
+                for op in system.all_operations} if mode == "or" else None
     rules = []
-    wrap = mode == "or"
     for op in system.operations:
-        rules.extend(compile_operation(system, op, trees[op], demanded, wrap))
+        rules.extend(compile_operation(system, op, trees[op], demanded))
     rules.extend(builtin_h_rules(system))
     rules.extend(norm_rules(system))
-    specialized = {}
     if mode != "cr":
-        rules = phase1(system, rules)
-        specialized = _specialize_map(system)
-        rules = phase2(rules, specialized)
-    return ObjectProgram(system, mode, rules, trees, specialized)
+        rules = phase2(phase1(system, rules), _specialize_map(system))
+    return ObjectProgram(system, mode, rules, trees)

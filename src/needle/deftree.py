@@ -1,8 +1,8 @@
 """Definitional trees: the case-analysis structure behind each operation.
 
 A tree node either selects a rule (the leaf is the `SourceRule` itself),
-aborts (no rule can ever apply), or branches on the constructor (or integer
-literal) found at one argument position.  Construction picks the
+is `None` where no rule can ever apply, or branches on the constructor (or
+integer literal) found at one argument position.  Construction picks the
 leftmost-outermost position at which every remaining rule demands a pattern;
 systems for which no such position exists are rejected.  Branching on
 integers supports a `default` child for rules with a variable at the branch
@@ -44,11 +44,6 @@ class DuplicateRule(DefTreeError):
 
 
 @dataclass
-class DTExempt:
-    pass
-
-
-@dataclass
 class DTBranch:
     path: tuple
     sort: str
@@ -73,7 +68,7 @@ def build_deftree(system, op):
     the node and the child index (None: the default) its subtree fills."""
     rules = system.rules.get(op, [])
     if not rules:
-        return DTExempt()
+        return None
     positions = tuple(((i,), sort) for i, sort in enumerate(op.arg_sorts))
     root, subtasks = _split(system, op, positions, list(rules))
     todo = [(root, *task) for task in reversed(subtasks)]
@@ -147,7 +142,7 @@ def _ctor_branch(system, op, positions, k, rules, subs):
             subtasks.append((len(children),
                              positions[:k] + args + positions[k + 1:],
                              sub_rules))
-        children.append((ctor, DTExempt()))
+        children.append((ctor, None))
     return DTBranch(path, sort, children), subtasks
 
 
@@ -186,7 +181,7 @@ def demanded_args(op, tree):
     stack = [(tree, frozenset())]
     while stack:
         t, inspected = stack.pop()
-        if isinstance(t, (SourceRule, DTExempt)):
+        if t is None or isinstance(t, SourceRule):
             common = inspected if common is None else common & inspected
             continue
         inspected = inspected | {t.path[0]}

@@ -35,6 +35,7 @@ from .core import (
     SourceRule,
     Symbol,
     Var,
+    acyclic,
 )
 
 
@@ -142,6 +143,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.system = system
+        self.sort_toks = []  # sort names, checked once every sort is declared
 
     def peek(self):
         return self.tokens[self.pos]
@@ -165,20 +167,27 @@ class _Parser:
     # declarations -------------------------------------------------------
 
     def parse_system(self):
+        """Read every declaration, then check the sort names and the rules
+        in file order, so a declaration may refer to a later one."""
+        rules = []
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind == "name" and tok.text == "data":
                 self.parse_data()
             elif tok.kind == "name" and tok.text == "op":
-                self.parse_op()
+                rules += self.parse_op()
             else:
                 self.fail("expected 'data' or 'op' declaration", tok)
+        for tok in self.sort_toks:
+            if tok.text not in self.system.sorts:
+                self.fail(f"unknown sort {tok.text!r}", tok)
+        for rule in rules:
+            self.check_rule(*rule)
         return self.system
 
     def parse_sort_name(self):
         tok = self.expect("name")
-        if tok.text not in self.system.sorts:
-            self.fail(f"unknown sort {tok.text!r}", tok)
+        self.sort_toks.append(tok)
         return tok.text
 
     def parse_data(self):
@@ -237,13 +246,16 @@ class _Parser:
         self.system.symbols[fname] = sym
         self.system.rules[sym] = []
         self.expect("punct", ":")
+        rules = []
         while not (self.peek().kind == "punct" and self.peek().text == ";"):
-            self.parse_rule(sym)
+            rules.append(self.parse_rule(sym))
         self.expect("punct", ";")
+        return rules
 
     # rules --------------------------------------------------------------
 
     def parse_rule(self, op):
+        """A rule's raw sides, with the names its wildcards take."""
         start = self.pos
         lhs_raw = self.parse_term()
         # Wildcards take the first names of `_`, `_2`, `_3`, ... that no
@@ -252,7 +264,9 @@ class _Parser:
         wilds = (name for name in chain(["_"], map("_{}".format, count(2)))
                  if name not in taken)
         self.expect("punct", "=")
-        rhs_raw = self.parse_term()
+        return op, lhs_raw, self.parse_term(), wilds
+
+    def check_rule(self, op, lhs_raw, rhs_raw, wilds):
         var_sorts = {}
         app = lambda sym, args, *_: App(sym, args)
         lhs = self.check_side(
@@ -425,6 +439,7 @@ class _Parser:
                       f"expected {sort!r}", tok)
 
 
+@acyclic
 def parse_system(text, name="system"):
     """Parse and check a `.rw` definition, returning a `System`."""
     return _Parser(scan(text), _fresh_system(name)).parse_system()

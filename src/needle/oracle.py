@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .core import (BUILTIN, App, Lit, Node, SourceRule, Symbol, Var, acyclic,
                    int_op, resolve)
-from .deftree import DTBranch, DTExempt, build_all_deftrees
+from .deftree import DTBranch, build_all_deftrees
 from .render import path_str
 from .runtime import Replay, source_label, step_budget
 
@@ -104,7 +104,7 @@ def _demand(trees, node):
     while True:
         if isinstance(cur, SourceRule):
             return Redex(node, cur)
-        if isinstance(cur, DTExempt):
+        if cur is None:
             return Exempt(node)
         sub = node  # live: a step forwards only the call it contracts
         for i in cur.path:
@@ -113,24 +113,20 @@ def _demand(trees, node):
         if not isinstance(sub_label, int) and sub_label.is_op:
             return sub
         if isinstance(cur, DTBranch):
-            nxt = None
             for ctor, subtree in cur.children:
                 if ctor is sub_label:
-                    nxt = subtree
                     break
-            if nxt is None:
+            else:
                 raise AssertionError("branch met an unknown constructor")
         else:  # DTIntBranch
             if not isinstance(sub_label, int):
                 raise AssertionError("integer branch met a constructor")
-            nxt = cur.default
             for value, subtree in cur.children:
                 if value == sub_label:
-                    nxt = subtree
                     break
-            if nxt is None:
-                return Exempt(node)
-        cur = nxt
+            else:
+                subtree = cur.default
+        cur = subtree
 
 
 def apply_source_rule(rule, node):

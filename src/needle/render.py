@@ -13,7 +13,7 @@ from .core import (
     resolve,
     var_paths,
 )
-from .deftree import DTBranch, DTExempt
+from .deftree import DTBranch
 from .runtime import Replay
 
 # ---- terms -------------------------------------------------------------------
@@ -104,7 +104,7 @@ def format_template(t, lhs=None, literals=()):
 
 def format_rule(rule):
     lhs, literals = format_template(rule.lhs)
-    if rule.exempt:
+    if rule.origin == "exempt":
         rhs = "abort"
     elif rule.builtin_op is not None:
         op = "+" if rule.builtin_op == "add" else "-"
@@ -157,7 +157,7 @@ def format_tree(tree, indent=0):
             lhs, literals = format_template(tree.lhs)
             rhs = format_template(tree.rhs, tree.lhs, literals)[0]
             lines.append(f"{pad}rule {lhs} = {rhs}")
-        elif isinstance(tree, DTExempt):
+        elif tree is None:
             lines.append(f"{pad}exempt")
         else:
             if isinstance(tree, DTBranch):
@@ -201,7 +201,7 @@ def trace_states(result):
     states = [format_node(result.start, replay.resolve)]
     for i, step in enumerate(result.trace, 1):
         replay.apply(step)
-        if not step.rule.is_literal_norm or i == len(result.trace):
+        if step.rule.origin != "literal-norm" or i == len(result.trace):
             states.append(format_node(result.start, replay.resolve))
     return states
 

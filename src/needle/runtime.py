@@ -205,13 +205,14 @@ def _compile_groups(rules):
     """Group a program's rules by redex shape and compile them to slot code.
 
     A group is (slot count, entries), one entry per rule in priority order:
-    (match code, step class index, countable allocations, nodes created,
+    (match code, step class index, node allocations, nodes created,
     builder, variable slots, fresh evaluable paths, rule); `_builder` gives
-    the nodes created, the builder and the paths.  Slot 0 is the redex and,
-    under H or N, slot 1 its child, which selection fetches and checks
-    against the group's key.  Match instructions are (opcode, slot, parent
-    slot, child index, payload) in pre-order, so a slot's parent is always
-    filled first.
+    the nodes created, the builder and the paths.  A rewrite or shortcut
+    rule allocates the nodes it creates that are not evaluable, and any
+    other rule allocates none.  Slot 0 is the redex and, under H or N, slot
+    1 its child, which selection fetches and checks against the group's
+    key.  Match instructions are (opcode, slot, parent slot, child index,
+    payload) in pre-order, so a slot's parent is always filled first.
     """
     groups = {}
     for rule in rules:
@@ -240,8 +241,9 @@ def _compile_groups(rules):
             if not (wrapped and slot == 1):
                 code.append((op, slot, parent, idx, payload))
         build, created, fresh = _builder(rule, var_slot, slot_of)
-        entries.append((tuple(code), _STEP_CLASS[rule.step_class],
-                        rule.countable_allocs, created, build,
+        step = _STEP_CLASS[rule.step_class]
+        allocs = created - len(fresh) if step in (0, 1) else 0
+        entries.append((tuple(code), step, allocs, created, build,
                         tuple(var_slot.values()), fresh, rule))
     return {key: (len(slot_of) + 1, tuple(entries))
             for key, (slot_of, entries) in groups.items()}

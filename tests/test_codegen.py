@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from needle import build_all_deftrees, build_program, parse_system
+from needle import (build_all_deftrees, build_program, evaluate, parse_expr,
+                    parse_system)
 from needle.codegen import phase1, phase2
 from needle.core import CONTROL, SPECIALIZED, AnyLit, H
 from needle.render import (format_program, format_rule, format_trees,
@@ -112,7 +113,9 @@ def test_phase2_fills_each_copy_of_a_shared_right_side(programs, systems):
               and isinstance(r.lhs.args[0].args[0], AnyLit)]
     assert len(copies) == 3
     assert len({id(r.rhs) for r in copies}) == 1
-    specialized = phase2(copies, programs("length", "tr").specialized)
+    special = {r.head.base: r.head for r in programs("length", "tr").rules
+               if r.head.kind == SPECIALIZED}
+    specialized = phase2(copies, special)
     assert [format_rule(r) for r in specialized] == [
         "add^H(#a, length(u)) = add^H(#a, length^H(u))  ; builtin-dispatch",
         "add^H(#a, add(u, v)) = add^H(#a, add^H(u, v))  ; builtin-dispatch",
@@ -134,8 +137,8 @@ def test_phase2_specializes_every_wrapper(programs):
 def test_specialized_symbols_remember_their_base(programs, systems):
     program = programs("append", "tr")
     append = systems["append"].symbols["append"]
-    special = program.specialized[append]
-    assert special.name == "append^H"
+    # every rule of append^H has the same interned head
+    (special,) = {r.head for r in program.rules if r.head.name == "append^H"}
     assert special.base is append
     assert special.kind == SPECIALIZED
 
@@ -188,24 +191,37 @@ def test_specialized_right_sides_upgrade_to_shortcut(programs):
     assert loop_rule.step_class == "shortcut"
 
 
-def test_countable_allocations(programs):
-    def allocs(program, origin):
-        return [r.countable_allocs for r in by_origin(program, origin)]
+def test_countable_allocations(programs, systems):
+    # a step's allocations are the growth of the counter over that step,
+    # read per fired rule off runs cut after k and k + 1 steps
+    def allocs(name, mode, text):
+        program, system = programs(name, mode), systems[name]
+        trace = evaluate(program, parse_expr(system, text)[0],
+                         trace=True).trace
+        counts = [evaluate(program, parse_expr(system, text)[0], max_steps=k)
+                  .counters.node_allocations for k in range(len(trace) + 1)]
+        out = {}
+        for step, before, after in zip(trace, counts, counts[1:]):
+            out.setdefault(step.rule.origin, set()).add(after - before)
+        return out
 
-    cr = programs("append", "cr")
-    assert allocs(cr, "collapse-instance") == [0, 0]  # reuse matched nodes
-    assert allocs(cr, "ctor-rooted") == [2]           # Cons + append
-    assert allocs(cr, "dispatch") == [0]
-    assert allocs(cr, "builtin-leaf") == [1, 1]       # the result literal
-    assert allocs(cr, "builtin-dispatch") == [0, 0, 0, 0]
-    assert all(r.countable_allocs == 0 for r in rules_in(cr, "n"))
-
-    fib_cr = programs("fib", "cr")
+    cr = allocs("append", "cr",
+                "append(append(Cons(1, Nil), Nil), Cons(2, Nil))")
+    assert cr == {
+        "collapse-instance": {0},  # reuse matched nodes
+        "ctor-rooted": {2},        # Cons + append
+        "dispatch": {0},
+        "norm-op": {0},
+        "norm-ctor": {0},
+        "literal-norm": {0},
+    }
+    fib_cr = allocs("fib", "cr", "fib(3)")
+    assert fib_cr["builtin-leaf"] == {1}  # the result literal
+    assert fib_cr["builtin-dispatch"] == {0}
     # add, fib, sub, fib, sub and two literals
-    assert allocs(fib_cr, "op-rooted") == [7]
-    fib_or = programs("fib", "or")
+    assert fib_cr["op-rooted"] == {7}
     # specialized symbols are bookkeeping: only the two literals count
-    assert allocs(fib_or, "op-rooted") == [2]
+    assert allocs("fib", "or", "fib(3)")["op-rooted"] == {2}
 
 
 def test_builtin_leaf_rules_know_their_operands(programs):

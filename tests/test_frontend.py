@@ -144,6 +144,66 @@ def test_unknown_sort_in_signature():
         parse_system("op f(List) -> Int: f(x) = 0;")
 
 
+# Declarations may refer to later ones: operations and sorts may be mutually
+# recursive.
+EVEN_ODD = """data Nat = Z | S(Nat);
+data B = T | F;
+op even(Nat) -> B:
+  even(Z) = T
+  even(S(n)) = odd(n);
+op odd(Nat) -> B:
+  odd(Z) = F
+  odd(S(n)) = even(n);
+"""
+
+ROSE = """data Tree = Node(Forest);
+data Forest = FNil | FCons(Tree, Forest);
+op size(Tree) -> Int:
+  size(Node(f)) = add(1, sizes(f));
+op sizes(Forest) -> Int:
+  sizes(FNil) = 0
+  sizes(FCons(t, f)) = add(size(t), sizes(f));
+"""
+
+
+def test_mutually_recursive_operations_evaluate_in_every_mode(tmp_path,
+                                                              capsys):
+    path = tmp_path / "even_odd.rw"
+    path.write_text(EVEN_ODD)
+    for expr, value in (("even(S(S(S(Z))))", "F"), ("odd(S(S(S(Z))))", "T")):
+        for mode in ("source", "cr", "tr", "or"):
+            assert main(["eval", str(path), expr, "--mode", mode]) == 0
+            assert capsys.readouterr().out == f"{value}\n", (expr, mode)
+        for mode in ("cr", "tr", "or"):
+            assert main(["validate", str(path), expr, "--mode", mode]) == 0
+            capsys.readouterr()
+
+
+def test_a_sort_may_be_named_before_its_declaration():
+    system = parse_system(ROSE)
+    assert system.symbols["Node"].arg_sorts == ("Forest",)
+    expr = "size(Node(FCons(Node(FNil), FCons(Node(FNil), FNil))))"
+    source = oracle_eval(system, parse_expr(system, expr)[0])
+    assert format_node(source.root) == "3"
+    for mode in ("cr", "tr", "or"):
+        result = evaluate(build_program(system, mode),
+                          parse_expr(system, expr)[0])
+        assert format_node(result.root) == "3", mode
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("data Tree = Node(Forest);\ndata Forst = FNil;",
+     "unknown sort 'Forest'", 1, 18),
+    ("data Nat = Z;\nop f(Nat) -> Nat:\n  f(n) = g(n);\n"
+     "op h(Nat) -> Nat:\n  h(n) = n;", "unknown symbol 'g'", 3, 10),
+])
+def test_an_undeclared_later_name_fails_at_its_position(text, message, line,
+                                                        col):
+    with pytest.raises(SourceError, match=message) as err:
+        parse_system(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 # ---- rule checking -----------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from needle import (build_program, evaluate, oracle_eval, parse_expr,
                     parse_system, validate_trace)
-from needle.core import H, AnyLit, App, Share, Var
+from needle.core import H, AnyLit, App, Lit, Share, Var
 from needle.render import format_node
 
 from conftest import CORPUS_NAMES, MODES
@@ -84,6 +84,19 @@ def side_problems(rules, h_free=False):
     return problems
 
 
+def reference_charge(rule):
+    """The data nodes a step of `rule` allocates under the cost model: the
+    result literal of a builtin-leaf rule, the literals and data-labelled
+    applications of any other rewrite or shortcut rule's right side, and
+    none for dispatch and norm rules."""
+    if rule.origin == "builtin-leaf":
+        return 1
+    if rule.step_class not in ("rewrite", "shortcut"):
+        return 0
+    return sum(t.__class__ is Lit or (t.__class__ is App and t.label.is_data)
+               for _, t in _subterms(rule.rhs))
+
+
 def assert_sides_are_well_formed(system, programs):
     for rules in system.rules.values():
         assert side_problems(rules) == [], system.name
@@ -119,6 +132,9 @@ def test_generated_systems_agree_with_the_source_strategy():
                 contracta = {step.contractum for step in result.trace}
                 assert not any(step.redex in contracta
                                for step in result.trace), where
+                assert result.counters.node_allocations == sum(
+                    reference_charge(step.rule) for step in result.trace), \
+                    where
                 report = validate_trace(system, result, trees=program.trees)
                 assert report.ok, (where, [str(v) for v in report.violations])
                 assert report.proper_steps == source.steps, where

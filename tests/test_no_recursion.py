@@ -1,12 +1,12 @@
 """needle walks rule sides, definitional trees and terms without recursion.
 
 A static check finds every cycle in the package's call graph, in which a
-function passed as a value counts as called, and a child interpreter left at
-CPython's default recursion limit takes rule sides at the parser's depth
-bound through every command.  Three more static checks, beside
-these, find imported names a module never uses, module-level definitions
-and assigned names nothing refers to, and dataclass or `__slots__` fields
-nothing reads.
+function or bound method passed as a value, and a property read, count as
+called, and a child interpreter left at CPython's default recursion limit
+takes rule sides at the parser's depth bound through every command.  Three
+more static checks, beside these, find imported names a module never uses,
+module-level definitions and assigned names nothing refers to, and
+dataclass or `__slots__` fields nothing reads.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ def _call_graph():
 
     A node is ("function", name) for a module-level or nested function and
     ("method", name) for a method.  Every load of a name f, a call `f()` or
-    a value as in `map(f, xs)`, reaches every function named f; `x.f()`
-    calls every method named f, except `super().f()`.  Names in a lambda
-    belong to the function around it."""
+    a value as in `map(f, xs)`, reaches every function named f; every load
+    of an attribute x.f, a call `x.f()`, a bound method as in
+    `map(self.f, xs)` or a property read, reaches every method named f,
+    except `super().f`.  Names in a lambda belong to the function around
+    it."""
     graph = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -51,11 +53,11 @@ def _call_graph():
                     if isinstance(node, ast.Name) \
                             and isinstance(node.ctx, ast.Load):
                         calls.add(("function", node.id))
-                    func = getattr(node, "func", None)
-                    if isinstance(func, ast.Attribute) and not (
-                            isinstance(func.value, ast.Call)
-                            and getattr(func.value.func, "id", "") == "super"):
-                        calls.add(("method", func.attr))
+                    if isinstance(node, ast.Attribute) \
+                            and isinstance(node.ctx, ast.Load) and not (
+                            isinstance(node.value, ast.Call)
+                            and getattr(node.value.func, "id", "") == "super"):
+                        calls.add(("method", node.attr))
                     stack.extend(ast.iter_child_nodes(node))
     return {fn: calls & graph.keys() for fn, calls in graph.items()}
 

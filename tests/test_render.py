@@ -140,7 +140,7 @@ def test_trace_rendering_matches_a_reference_renderer(systems, programs):
             erased = [reference_text(res.start, replay.erased, source_label)]
             for i, step in enumerate(res.trace, 1):
                 replay.apply(step)
-                if not step.rule.is_literal_norm or i == len(res.trace):
+                if step.rule.origin != "literal-norm" or i == len(res.trace):
                     states.append(reference_text(res.start, replay.resolve))
                 state = reference_text(res.start, replay.erased, source_label)
                 if state != erased[-1]:
