@@ -137,10 +137,9 @@ def cmd_validate(args):
     program = build_program(system, args.mode)
     budget = step_budget(args.max_steps, TRACED_MAX_STEPS)
     result = evaluate(program, expr, max_steps=budget, trace=True)
-    report = validate_trace(system, result, trees=program.trees)
+    report = validate_trace(system, result)
     oracle_expr, _ = parse_expr(system, args.expr)
-    oracle = oracle_eval(system, oracle_expr, max_steps=budget,
-                         trees=program.trees)
+    oracle = oracle_eval(system, oracle_expr, max_steps=budget)
     problems = list(report.violations)
     # A compiled run takes more steps than the source strategy (dispatch and
     # norm steps), so the same budget may cut only the compiled run: its

@@ -101,7 +101,7 @@ class ObjectRule:
         return cls
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectProgram:
     system: object
     mode: str

@@ -123,9 +123,11 @@ def acyclic(fn):
 # left side a `Var` matches anything, a `Lit` one literal and an `App` a node
 # of its label over matching children; on a right side a `Var` reuses the
 # node its name is bound to, while a `Lit` or an `App` allocates a fresh node.
+# Terms are slotted, not frozen, so they are cheap to build; no code changes
+# one once it is built.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var:
     """A variable: binds the matched node, or reuses the bound one."""
 
@@ -133,14 +135,14 @@ class Var:
     sort: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Lit:
     """One specific integer literal."""
 
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class App:
     """A node labeled `label` over the terms `args`."""
 
@@ -148,14 +150,14 @@ class App:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AnyLit:
     """Left sides only: matches any integer literal and binds it."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Share:
     """Right sides only: reuse the node matched at `path` in the left side."""
 
@@ -199,7 +201,7 @@ def var_paths(p):
 # ---- source rules -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceRule:
     """A user-level rewrite rule `op(patterns) = template`."""
 

@@ -43,14 +43,14 @@ class DuplicateRule(DefTreeError):
 # ---- tree node types --------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class DTBranch:
     path: tuple
     sort: str
     children: list  # [(constructor Symbol, subtree)] in declaration order
 
 
-@dataclass
+@dataclass(slots=True)
 class DTIntBranch:
     path: tuple
     children: list  # [(int literal, subtree)] in first-occurrence order
@@ -167,7 +167,13 @@ def _int_branch(positions, k, rules, subs, with_default):
 
 
 def build_all_deftrees(system):
-    return {op: build_deftree(system, op) for op in system.operations}
+    """Each operation's tree, built on the first call and kept on the
+    system: nothing changes a system once it is parsed.  A rejected system
+    keeps no trees, so every call raises its error."""
+    if system.trees is None:
+        system.trees = {op: build_deftree(system, op)
+                         for op in system.operations}
+    return system.trees
 
 
 # ---- demanded argument positions ---------------------------------------------

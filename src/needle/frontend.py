@@ -73,7 +73,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # "name", "int", "punct", "eof"
     text: str
@@ -103,7 +103,7 @@ def scan(text):
 # ---- system -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class System:
     """A parsed and checked rewrite system."""
 
@@ -113,6 +113,8 @@ class System:
     builtins: list = field(default_factory=list)
     symbols: dict = field(default_factory=dict)  # symbol name -> Symbol
     rules: dict = field(default_factory=dict)  # op Symbol -> [SourceRule]
+    # op Symbol -> definitional tree, filled by `build_all_deftrees`
+    trees: dict = field(default=None, repr=False, compare=False)
 
     def ops_returning(self, sort):
         """All operations (user then builtin) whose result is `sort`."""

@@ -29,20 +29,20 @@ from .render import path_str
 from .runtime import Replay, source_label, step_budget
 
 
-@dataclass
+@dataclass(slots=True)
 class OracleResult:
     outcome: str  # "value", "aborted", "steplimit"
     root: Node
     steps: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Redex:
     node: object
     rule: object  # SourceRule, or None for a builtin reduction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Exempt:
     node: object
 
@@ -198,7 +198,7 @@ def oracle_eval(system, root, max_steps=None, trees=None):
 # ---- trace validation ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Violation:
     step: int
     kind: str
@@ -210,7 +210,7 @@ class Violation:
         return f"step {self.step}: {self.kind}: {self.detail}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidationReport:
     violations: list
     proper_steps: int

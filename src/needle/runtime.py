@@ -106,7 +106,7 @@ def step_budget(max_steps=None, default=DEFAULT_MAX_STEPS):
     return max_steps
 
 
-@dataclass
+@dataclass(slots=True)
 class Counters:
     rewrite_steps: int = 0
     shortcut_steps: int = 0
@@ -122,7 +122,7 @@ class Counters:
                 for f in fields(self)}
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalResult:
     outcome: str  # "value", "aborted", "steplimit"
     root: Node

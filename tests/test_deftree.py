@@ -9,14 +9,22 @@ from needle import (
     NotInductivelySequential,
     build_all_deftrees,
     build_deftree,
+    build_program,
+    evaluate,
+    oracle_eval,
+    parse_expr,
     parse_system,
+    validate_trace,
 )
+from needle import deftree
 from needle.core import SourceRule
 from needle.deftree import (
     DTBranch,
     DTIntBranch,
     demanded_args,
 )
+
+from conftest import MODES, load_system
 
 
 def tree_for(system, opname):
@@ -96,6 +104,30 @@ def test_build_all_deftrees_covers_user_operations(systems):
     assert sorted(op.name for op in trees) == ["mirror", "size"]
 
 
+# ---- one build per system ----------------------------------------------------
+
+
+def test_a_system_builds_its_trees_once(monkeypatch):
+    built = []
+    build = deftree.build_deftree
+    monkeypatch.setattr(deftree, "build_deftree",
+                        lambda system, op: built.append(op) or build(system, op))
+    system = load_system("fib")
+    assert system.trees is None
+    trees = build_all_deftrees(system)
+    assert build_all_deftrees(system) is trees is system.trees
+    assert len(built) == len(system.operations)
+    for mode in MODES:
+        assert build_program(system, mode).trees is system.trees
+    result = evaluate(build_program(system, "or"),
+                      parse_expr(system, "fib(6)")[0], trace=True)
+    assert validate_trace(system, result).ok
+    assert len(built) == len(system.operations)
+    assert oracle_eval(system, parse_expr(system, "fib(6)")[0]).steps \
+        == result.proper_steps
+    assert len(built) == len(system.operations)
+
+
 # ---- rejection ---------------------------------------------------------------
 
 
@@ -119,6 +151,18 @@ def test_parallel_patterns_rejected():
     with pytest.raises(NotInductivelySequential,
                        match="no argument position is demanded"):
         build_all_deftrees(parse_system(src))
+
+
+def test_a_rejected_system_keeps_no_trees():
+    system = parse_system("data S = A | B;\n"
+                          "op f(S, S) -> Int: f(A, y) = 0 f(x, B) = 1;")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotInductivelySequential) as caught:
+            build_all_deftrees(system)
+        messages.append(str(caught.value))
+        assert system.trees is None
+    assert messages[0] == messages[1]
 
 
 # ---- demanded arguments ------------------------------------------------------

@@ -3,10 +3,11 @@
 A static check finds every cycle in the package's call graph, in which a
 function or bound method passed as a value, and a property read, count as
 called, and a child interpreter left at CPython's default recursion limit
-takes rule sides at the parser's depth bound through every command.  Three
+takes rule sides at the parser's depth bound through every command.  Five
 more static checks, beside these, find imported names a module never uses,
-module-level definitions and assigned names nothing refers to, and
-dataclass or `__slots__` fields nothing reads.
+module-level definitions and assigned names nothing refers to, dataclass or
+`__slots__` fields nothing reads, dataclasses without `slots=True`, and
+stores to a term's or tree's fields after construction.
 """
 
 from __future__ import annotations
@@ -155,11 +156,15 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
+def _is_dataclass_decorator(node):
+    func = getattr(node, "func", node)
+    return (getattr(func, "id", None) or getattr(func, "attr", None)) \
+        == "dataclass"
+
+
 def _fields(cls):
     """The fields of a dataclass or a `__slots__` class, else ()."""
-    if any(getattr(d, "id", None) == "dataclass"
-           or getattr(getattr(d, "func", None), "id", None) == "dataclass"
-           for d in cls.decorator_list):
+    if any(map(_is_dataclass_decorator, cls.decorator_list)):
         return [s.target.id for s in cls.body
                 if isinstance(s, ast.AnnAssign)
                 and isinstance(s.target, ast.Name)]
@@ -193,6 +198,52 @@ def test_every_field_is_read():
                     unread.append(f"{path.name}: {cls.name}.{name}")
     assert checked > 40
     assert unread == []
+
+
+def test_every_dataclass_has_slots():
+    """Each package dataclass passes `slots=True`, so its instances carry no
+    `__dict__`: they are smaller and quicker to build."""
+    missing, checked = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for d in filter(_is_dataclass_decorator, cls.decorator_list):
+                checked += 1
+                if not any(k.arg == "slots" and getattr(k.value, "value", 0)
+                           is True for k in getattr(d, "keywords", ())):
+                    missing.append(f"{path.name}: {cls.name}")
+    assert checked > 15
+    assert missing == []
+
+
+# The fields of rule sides (`core.Var`, `Lit`, `App`, `AnyLit`, `Share`),
+# symbols, nodes and definitional trees that no code may change once the
+# object is built.
+_BUILT_ONCE = {"label", "args", "value", "path", "name", "sort", "children"}
+
+
+def test_built_fields_are_set_only_in_init():
+    """Outside an `__init__`, nothing in the package stores to or deletes an
+    attribute named in `_BUILT_ONCE`.  Terms are slotted, not frozen,
+    dataclasses; this check keeps them immutable."""
+    stores, in_init = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inits = {id(n) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                 for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) \
+                    or isinstance(node.ctx, ast.Load) \
+                    or node.attr not in _BUILT_ONCE:
+                continue
+            if id(node) in inits:
+                in_init.add(node.attr)
+            else:
+                stores.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert {"name", "label", "children"} <= in_init
+    assert stores == []
 
 
 def test_the_recursion_limit_is_left_alone():
