@@ -75,20 +75,14 @@ class ObjectRule:
     lhs: App
     rhs: Optional[object]
     origin: str
-    source: Optional[object] = None  # SourceRule this rule implements
+    # The source step this rule performs: a SourceRule, or the builtin Symbol
+    # of a builtin-leaf rule.
+    source: Optional[object] = None
     dispatch_path: Optional[tuple] = None  # lhs path that must hold an operation
 
     @property
     def head(self):
         return self.lhs.label
-
-    @property
-    def builtin_op(self):
-        """The name of the builtin a builtin-leaf rule computes, else None."""
-        if self.origin != "builtin-leaf":
-            return None
-        head = self.head
-        return (self.lhs.args[0].label if head is H else head.base).name
 
     @property
     def step_class(self):
@@ -265,7 +259,7 @@ def builtin_h_rules(system):
     out = []
     for b in system.builtins:
         lit2 = App(H, (App(b, (AnyLit("a"), AnyLit("b"))),))
-        out.append(ObjectRule(lit2, None, "builtin-leaf"))
+        out.append(ObjectRule(lit2, None, "builtin-leaf", b))
         snd = App(H, (App(b, (AnyLit("a"), Var("y", INT_SORT))),))
         out.append(ObjectRule(
             snd, _h(App(b, (Var("a"), _h(Var("y"))))),

@@ -36,23 +36,14 @@ class OracleResult:
     steps: int
 
 
-@dataclass(slots=True)
-class Redex:
-    node: object
-    rule: object  # SourceRule, or None for a builtin reduction
-
-
-@dataclass(slots=True)
-class Exempt:
-    node: object
-
-
 def source_strategy(trees, root):
     """Yield the needed redexes of the graph at `root`, one per step.
 
-    Each item is Redex(node, rule) or Exempt(node); the generator ends when
-    no operation is left.  The caller must contract each yielded redex before
-    asking for the next one, and stops after an Exempt.
+    Each item is a pair (node, source): the source step that contracts the
+    call `node`, a `SourceRule` or the builtin `Symbol` of a builtin call,
+    or None where no rule can ever apply.  The generator ends when no
+    operation is left.  The caller must contract each yielded redex before
+    asking for the next one, and stops after a None.
 
     The walk visits the graph leftmost-outermost for its first operation,
     then descends through the argument positions its definitional tree
@@ -79,7 +70,7 @@ def source_strategy(trees, root):
         calls = [node]
         while calls:
             found = _demand(trees, calls[-1])
-            if isinstance(found, Node):
+            if found.__class__ is Node:
                 calls.append(found)
                 continue
             yield found
@@ -88,7 +79,7 @@ def source_strategy(trees, root):
 
 
 def _demand(trees, node):
-    """Redex(...) or Exempt(...) at operation node `node`, or the
+    """The pair (node, source) of operation node `node`, or the
     operation-rooted argument its definitional tree demands first."""
     label = node.label
     if label.kind == BUILTIN:
@@ -99,13 +90,11 @@ def _demand(trees, node):
             if c.label.is_op:
                 return c
             raise AssertionError("builtin applied to a non-Int argument")
-        return Redex(node, None)
+        return node, label
     cur = trees[label]
     while True:
-        if isinstance(cur, SourceRule):
-            return Redex(node, cur)
-        if cur is None:
-            return Exempt(node)
+        if cur is None or cur.__class__ is SourceRule:
+            return node, cur
         sub = node  # live: a step forwards only the call it contracts
         for i in cur.path:
             sub = resolve(sub.children[i])
@@ -168,14 +157,13 @@ def apply_source_rule(rule, node):
     return out[0]
 
 
-def _contract(found):
-    """The contractum of the needed redex `found`."""
-    node = found.node
-    if found.rule is None:
+def _contract(node, source):
+    """The contractum of the needed redex `node` under `source`."""
+    if source.__class__ is Symbol:
         a = resolve(node.children[0]).label
         b = resolve(node.children[1]).label
-        return Node(int_op(node.label.name, a, b))
-    return apply_source_rule(found.rule, node)
+        return Node(int_op(source.name, a, b))
+    return apply_source_rule(source, node)
 
 
 @acyclic
@@ -185,13 +173,13 @@ def oracle_eval(system, root, max_steps=None, trees=None):
         trees = build_all_deftrees(system)
     max_steps = step_budget(max_steps)
     steps = 0
-    for found in source_strategy(trees, root):
-        if isinstance(found, Exempt):
+    for node, source in source_strategy(trees, root):
+        if source is None:
             return OracleResult("aborted", resolve(root), steps)
         if steps >= max_steps:
             return OracleResult("steplimit", resolve(root), steps)
         steps += 1
-        found.node.forward = _contract(found)
+        node.forward = _contract(node, source)
     return OracleResult("value", resolve(root), steps)
 
 
@@ -204,7 +192,7 @@ class Violation:
     kind: str
     detail: str
     rule: object = None  # the step's object rule; None for wrapper-in-value
-    source: object = None  # its source rule; None for builtin/dispatch/norm
+    source: object = None  # the rule's source step; None for dispatch/norm
 
     def __str__(self):
         return f"step {self.step}: {self.kind}: {self.detail}"
@@ -331,26 +319,24 @@ def validate_trace(system, result, trees=None):
         else:
             # rewrite / shortcut: one source step at the erased redex image
             proper += 1
-            found = next(strategy, None)
+            target, want = next(strategy, (None, None))
             src = rule.source
-            target = None
-            if found is None:
+            if target is None:
                 faults.append(("no-redex",
                                "proper step in an operation-free state"))
-            elif isinstance(found, Exempt) \
-                    or image.get(redex) is not found.node:
-                other = "an irreducible" if isinstance(found, Exempt) \
-                    else "another"
+            elif want is None or image.get(redex) is not target:
+                other = "an irreducible" if want is None else "another"
                 faults.append(("not-needed", f"step fired at "
                                f"{_where(replay, result.start, redex)}, "
                                f"strategy demands {other} "
-                               f"{found.node.label.name} call"))
-            elif src is not found.rule:
+                               f"{target.label.name} call"))
+                target = None
+            elif src is not want:
                 faults.append(("wrong-rule", f"step used rule {src}, "
-                               f"strategy demands {found.rule}"))
+                               f"strategy demands {want}"))
+                target = None
             else:
-                target = found.node
-                target.forward = _contract(found)
+                target.forward = _contract(target, want)
             replay.apply(step)
             if target is not None and not _same_graph(
                     replay, step.contractum, target.forward, image):

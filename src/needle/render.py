@@ -106,8 +106,8 @@ def format_rule(rule):
     lhs, literals = format_template(rule.lhs)
     if rule.origin == "exempt":
         rhs = "abort"
-    elif rule.builtin_op is not None:
-        op = "+" if rule.builtin_op == "add" else "-"
+    elif rule.origin == "builtin-leaf":
+        op = "+" if rule.source.name == "add" else "-"
         a, b = var_paths(rule.lhs)
         rhs = f"<{a} {op} {b}>"
     else:

@@ -46,7 +46,6 @@ Counters
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Optional
@@ -87,19 +86,12 @@ _STEP_CLASS = {"rewrite": 0, "shortcut": 1, "dispatch": 2, "norm": 3,
 
 
 def step_budget(max_steps=None, default=DEFAULT_MAX_STEPS):
-    """The step budget: `max_steps`, else $NEEDLE_MAX_STEPS, else `default`.
+    """The step budget: `max_steps`, else `default`.
 
-    Raises NeedleError unless the budget is a non-negative integer.
+    Raises NeedleError if the budget is negative.
     """
     if max_steps is None:
-        text = os.environ.get("NEEDLE_MAX_STEPS")
-        if not text:
-            return default
-        try:
-            max_steps = int(text)
-        except ValueError:
-            raise NeedleError(f"NEEDLE_MAX_STEPS must be an integer, "
-                              f"not {text!r}") from None
+        return default
     if max_steps < 0:
         raise NeedleError(f"the step budget must not be negative "
                           f"(got {max_steps})")
@@ -253,8 +245,8 @@ def _builder(rule, var_slot, slot_of):
     """The rule's contraction as a closure over the match slots, the number
     of nodes it creates, and the paths from the contractum's root to the
     evaluable nodes among them, in reverse post-order."""
-    if rule.builtin_op is not None:
-        name = rule.builtin_op
+    if rule.origin == "builtin-leaf":
+        name = rule.source.name
         a, b = var_slot.values()
         return (lambda s: Node(int_op(name, s[a].label, s[b].label))), 1, ()
     if rule.rhs is None:

@@ -11,6 +11,7 @@ import pytest
 
 from needle import cli
 from needle.cli import main
+from needle.oracle import OracleResult
 
 CORPUS = "tests/corpus"
 APPEND = f"{CORPUS}/append.rw"
@@ -116,16 +117,11 @@ def test_eval_exit_codes(capsys):
     assert "argument" in capsys.readouterr().err
 
 
-def test_bad_step_budgets_exit_1(monkeypatch, capsys):
+def test_bad_step_budgets_exit_1(capsys):
     args = ["eval", LOOP, "fst(MkPair(loop, 0))"]
     for mode in ("cr", "source"):
         assert main(args + ["--mode", mode, "--max-steps", "-5"]) == 1
         assert "must not be negative" in capsys.readouterr().err
-    monkeypatch.setenv("NEEDLE_MAX_STEPS", "abc")
-    for mode in ("cr", "source"):
-        assert main(args + ["--mode", mode]) == 1
-        assert "NEEDLE_MAX_STEPS must be an integer, not 'abc'" \
-            in capsys.readouterr().err
 
 
 def test_non_decimal_digits_exit_1(tmp_path, capsys):
@@ -219,10 +215,9 @@ def test_untraced_divergent_runs_fit_in_constant_memory():
 
 
 def test_traced_runs_have_their_own_default_budget(monkeypatch, capsys):
-    # --max-steps, else NEEDLE_MAX_STEPS, else cli.TRACED_MAX_STEPS; validate
-    # gives its oracle run the same budget
+    # --max-steps, else cli.TRACED_MAX_STEPS; validate gives its oracle run
+    # the same budget
     monkeypatch.setattr(cli, "TRACED_MAX_STEPS", 40)
-    monkeypatch.delenv("NEEDLE_MAX_STEPS", raising=False)
     expr = "fst(MkPair(loop, 0))"
 
     def expect(budget, *args):
@@ -235,15 +230,12 @@ def test_traced_runs_have_their_own_default_budget(monkeypatch, capsys):
             f"source strategy agrees\n"
 
     expect(40)
-    monkeypatch.setenv("NEEDLE_MAX_STEPS", "30")
-    expect(30)
     expect(20, "--max-steps", "20")
 
 
 def test_validate_reports_a_budget_that_cuts_only_the_compiled_run(
         monkeypatch, capsys):
     # fib(5) takes 36 source steps, and 66 machine steps in cr, 38 in or
-    monkeypatch.delenv("NEEDLE_MAX_STEPS", raising=False)
     for mode, budget in (("cr", 50), ("or", 37)):
         monkeypatch.setattr(cli, "TRACED_MAX_STEPS", budget)
         for args in ([], ["--max-steps", str(budget)]):
@@ -253,6 +245,66 @@ def test_validate_reports_a_budget_that_cuts_only_the_compiled_run(
             assert captured.out == ""
             assert captured.err == \
                 f"step limit reached after {budget} step(s)\n"
+
+
+def test_validate_prints_each_disagreement_and_exits_2(monkeypatch, capsys):
+    # the source run, made to take one step more, then to end otherwise
+    args = ["validate", APPEND, "append(Cons(1, Nil), Cons(2, Nil))"]
+    real = cli.oracle_eval
+    for change, line in (
+            (lambda r: OracleResult(r.outcome, r.root, r.steps + 1),
+             "step mismatch: cr performed 2 proper step(s), "
+             "source strategy 3"),
+            (lambda r: OracleResult("aborted", r.root, r.steps),
+             "outcome mismatch: cr=value source=aborted")):
+        monkeypatch.setattr(cli, "oracle_eval", lambda *a, change=change,
+                            **kw: change(real(*a, **kw)))
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"violation: {line}\n")
+
+
+def _validate(tmp_path, text, expr, mode):
+    path = tmp_path / "system.rw"
+    path.write_text(text)
+    return main(["validate", str(path), expr, "--mode", mode])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1b: lost sharing; the norm-op step "
+                          "rebuilds add(1, 2), which is then evaluated twice")
+@pytest.mark.parametrize("mode", ["cr", "tr", "or"])
+def test_validate_accepts_a_repeated_variable(tmp_path, capsys, mode):
+    text = "data P = Q(Int, Int);\nop dup(Int) -> P: dup(x) = Q(x, x);\n"
+    assert _validate(tmp_path, text, "dup(add(1, 2))", mode) == 0, \
+        capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1a: the rules of an Int branch's "
+                          "default match an unevaluated argument and abort")
+@pytest.mark.parametrize("mode", ["cr", "tr", "or"])
+def test_validate_accepts_a_call_below_an_int_default(tmp_path, capsys,
+                                                      mode):
+    text = "op f(Int, Int) -> Int: f(0, v) = 1 f(u, 0) = 2;\n"
+    assert _validate(tmp_path, text, "f(sub(1, 1), 5)", mode) == 0, \
+        capsys.readouterr().err
+
+
+def test_an_operation_without_rules_is_exempt(tmp_path, capsys):
+    path = tmp_path / "none.rw"
+    path.write_text("op f(Int) -> Int: ;\n")
+    assert main(["tree", str(path)]) == 0
+    assert capsys.readouterr().out == "op f\n  exempt\n"
+    for mode in ("source", "cr", "tr", "or"):
+        assert main(["eval", str(path), "f(1)", "--mode", mode]) == 3
+        steps = 0 if mode == "source" else 1  # the root's norm-op step
+        assert capsys.readouterr().err == \
+            f"aborted after {steps} step(s): no rule applies\n"
+    for mode in ("cr", "tr", "or"):
+        assert main(["validate", str(path), "f(add(1, 2))",
+                     "--mode", mode]) == 0
+        assert capsys.readouterr().out == \
+            "ok: 1 machine step(s), 0 proper step(s), source strategy agrees\n"
 
 
 def test_bench_prints_the_counter_table(capsys):

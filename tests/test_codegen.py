@@ -224,12 +224,14 @@ def test_countable_allocations(programs, systems):
     assert allocs("fib", "or", "fib(3)")["op-rooted"] == {2}
 
 
-def test_builtin_leaf_rules_know_their_operands(programs):
-    leaves = by_origin(programs("fib", "cr"), "builtin-leaf")
-    assert [r.builtin_op for r in leaves] == ["add", "sub"]
-    for rule in leaves:
-        assert all(isinstance(p, AnyLit)
-                   for p in rule.lhs.args[0].args)
+def test_builtin_leaf_rules_know_their_operands(systems, programs):
+    builtins = [systems["fib"].symbols[name] for name in ("add", "sub")]
+    for mode in ("cr", "tr", "or"):
+        leaves = by_origin(programs("fib", mode), "builtin-leaf")
+        assert [r.source for r in leaves] == builtins, mode
+        for rule in leaves:  # H(add(#a, #b)) in cr, add^H(#a, #b) else
+            call = rule.lhs.args[0] if mode == "cr" else rule.lhs
+            assert all(isinstance(p, AnyLit) for p in call.args), mode
 
 
 def test_build_program_rejects_unknown_modes(systems):

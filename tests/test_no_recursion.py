@@ -3,11 +3,12 @@
 A static check finds every cycle in the package's call graph, in which a
 function or bound method passed as a value, and a property read, count as
 called, and a child interpreter left at CPython's default recursion limit
-takes rule sides at the parser's depth bound through every command.  Five
+takes rule sides at the parser's depth bound through every command.  Six
 more static checks, beside these, find imported names a module never uses,
 module-level definitions and assigned names nothing refers to, dataclass or
-`__slots__` fields nothing reads, dataclasses without `slots=True`, and
-stores to a term's or tree's fields after construction.
+`__slots__` fields nothing reads, dataclasses without `slots=True`,
+stores to a term's or tree's fields after construction, and reads of the
+environment.
 """
 
 from __future__ import annotations
@@ -244,6 +245,25 @@ def test_built_fields_are_set_only_in_init():
                 stores.append(f"{path.name}:{node.lineno}: {node.attr}")
     assert {"name", "label", "children"} <= in_init
     assert stores == []
+
+
+def test_the_package_reads_no_environment():
+    """No package module imports `os` or names `environ` or `getenv`: what
+    a run does follows from its arguments, never from a stray variable."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = [getattr(node, "attr", None)
+                         or getattr(node, "id", None)]
+            reads += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name and name.split(".")[0]
+                      in ("os", "environ", "getenv")]
+    assert reads == []
 
 
 def test_the_recursion_limit_is_left_alone():

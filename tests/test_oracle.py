@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from needle import (Node, build_all_deftrees, evaluate, oracle_eval,
                     parse_expr, validate_trace)
-from needle.oracle import Exempt, Redex, source_strategy
+from needle.oracle import source_strategy
 from needle.render import format_node
 
 from conftest import int_list
@@ -74,41 +74,38 @@ def first_redex(system, text):
 
 
 def test_descent_stops_at_the_outermost_matching_redex(systems):
-    expr, found = first_redex(systems["loop"], "snd(MkPair(loop, 0))")
-    assert isinstance(found, Redex)
-    assert found.node is expr
-    assert found.rule.op.name == "snd"
+    expr, (node, source) = first_redex(systems["loop"], "snd(MkPair(loop, 0))")
+    assert node is expr
+    assert source.op.name == "snd"
 
 
 def test_descent_moves_into_a_demanded_operation_argument(systems):
-    expr, found = first_redex(systems["length"], "length(append(Nil, Nil))")
-    assert isinstance(found, Redex)
-    assert found.node is expr.children[0]
-    assert found.rule.op.name == "append"
+    expr, (node, source) = first_redex(systems["length"],
+                                       "length(append(Nil, Nil))")
+    assert node is expr.children[0]
+    assert source.op.name == "append"
 
 
 def test_descent_reports_exempt_positions(systems):
     expr, found = first_redex(systems["head"], "head(Nil)")
-    assert isinstance(found, Exempt)
-    assert found.node is expr
+    assert found == (expr, None)
 
 
 def test_descent_through_builtin_arguments(systems):
+    add = systems["fib"].symbols["add"]
     expr, found = first_redex(systems["fib"], "add(add(1, 2), 3)")
-    assert isinstance(found, Redex)
-    assert found.node is expr.children[0]
-    assert found.rule is None  # builtin reduction
+    assert found == (expr.children[0], add)  # builtin reduction
     flat, found = first_redex(systems["fib"], "add(1, 2)")
-    assert found == Redex(flat, None)
+    assert found == (flat, add)
 
 
 def test_descent_picks_literal_branch_or_default(systems):
-    _, found = first_redex(systems["fib"], "fib(1)")
-    assert found.rule.index == 1
-    _, found = first_redex(systems["fib"], "fib(7)")
-    assert found.rule.index == 2
+    _, (_, source) = first_redex(systems["fib"], "fib(1)")
+    assert source.index == 1
+    _, (_, source) = first_redex(systems["fib"], "fib(7)")
+    assert source.index == 2
     nested, found = first_redex(systems["fib"], "fib(add(3, 4))")
-    assert found == Redex(nested.children[0], None)
+    assert found == (nested.children[0], systems["fib"].symbols["add"])
 
 
 # ---- trace validation --------------------------------------------------------
@@ -173,6 +170,20 @@ def test_validation_catches_a_swapped_rule(systems, programs):
     assert first.rule is res.trace[a].rule
     assert first.source is res.trace[a].rule.source
     assert first.source is not None
+
+
+def test_validation_catches_a_wrong_contractum(systems, programs):
+    for mode in ("cr", "tr", "or"):
+        expr, _ = parse_expr(systems["append"], APPEND_EXPR)
+        res = evaluate(programs("append", mode), expr, trace=True)
+        step = res.trace[1]
+        assert step.rule.origin == "ctor-rooted"
+        cons = step.contractum  # Cons(1, ...) becomes Cons(7, ...)
+        step.contractum = Node(cons.label, (Node(7), cons.children[1]))
+        report = validate_trace(systems["append"], res)
+        assert str(report.violations[0]) == (
+            "step 1: wrong-result: erased post-state is not the "
+            "source-step result"), mode
 
 
 def test_validation_reports_rather_than_raises_on_moved_rules(systems,

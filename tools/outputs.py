@@ -122,12 +122,12 @@ def collect(seeds):
                                   max_steps=BUDGET, trace=True)
                 items["traces"].append([format_trace(traced),
                                         erased_states(traced)])
-                report = validate_trace(system, traced, trees=program.trees)
+                report = validate_trace(system, traced)
                 items["verdicts"].append(
                     [[str(v) for v in report.violations],
                      report.proper_steps])
             source = oracle_eval(system, parse_expr(system, expr)[0],
-                                 max_steps=BUDGET, trees=trees)
+                                 max_steps=BUDGET)
             items["oracle"].append([source.outcome, source.steps,
                                     format_node(source.root)])
         if name in CORPUS:
