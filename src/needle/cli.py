@@ -19,8 +19,8 @@ from .render import (
     format_counter_table,
     format_node,
     format_program,
-    format_trace,
     format_trees,
+    trace_lines,
 )
 from .runtime import evaluate, step_budget
 
@@ -102,7 +102,8 @@ def cmd_eval(args):
         else args.max_steps
     result = evaluate(program, expr, max_steps=budget, trace=args.trace)
     if args.trace:
-        print(format_trace(result))
+        for line in trace_lines(result):
+            print(line)
     return _finish_eval(result.outcome, result.steps,
                         format_node(result.root))
 

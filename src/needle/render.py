@@ -27,16 +27,54 @@ def format_node(node, resolve=resolve, erase=False):
     state or its erased state.  With `erase`, `f^H` prints as `f`.
     """
     parts = []
+    _tokens(node, resolve, parts, erase)
+    return "".join(parts)
+
+
+_SEP = (", ", None)  # ", " and its owner, pushed when owners are kept
+
+
+def _tokens(node, resolve, parts, erase=False, owners=None, old=None):
+    """Append the tokens of `node`'s prefix rendering to `parts`.
+
+    With a list `owners`, also append beside each token the pointer whose
+    rendering it opens or closes, and None beside ", ": a leaf owns its one
+    token, an application its name token, which ends in "(", and its ")",
+    the next token it owns.  `old` is then None or the (parts, owners,
+    start, end) range of an earlier rendering of `node`.  Any other pointer
+    shown there renders as it did as long as it cannot reach `node`, and its
+    tokens are copied from there instead of visited.  Without `owners`, the
+    loop pays one test per node.
+    """
     emit = parts.append
+    own = owners.append if owners is not None else None
+    sep = _SEP if own else ", "
+    olds = ()
+    if old is not None:
+        old_parts, old_owners, start, end = old
+        olds = set(old_owners[start + 1:end - 1])  # not `node`'s own tokens
     stack = [node]
     pop = stack.pop
     push = stack.append
     while stack:
-        item = pop()
-        if item.__class__ is str:
-            emit(item)
+        ptr = pop()
+        if ptr.__class__ is str:
+            emit(ptr)
             continue
-        item = resolve(item)
+        if own:
+            if ptr.__class__ is tuple:  # a token and its owner
+                emit(ptr[0])
+                own(ptr[1])
+                continue
+            if ptr in olds:
+                s = old_owners.index(ptr, start, end)
+                e = old_owners.index(ptr, s + 1, end) + 1 \
+                    if old_parts[s][-1] == "(" else s + 1
+                parts += old_parts[s:e]
+                owners += old_owners[s:e]
+                continue
+            own(ptr)
+        item = resolve(ptr)
         label = item.label
         if label.__class__ is int:
             emit(str(label))
@@ -48,14 +86,13 @@ def format_node(node, resolve=resolve, erase=False):
             emit(label.name)
             continue
         emit(label.name + "(")
-        push(")")
+        push((")", ptr) if own else ")")
         i = len(kids) - 1
         while i:
             push(kids[i])
-            push(", ")
+            push(sep)
             i -= 1
         push(kids[0])
-    return "".join(parts)
 
 
 # ---- patterns, templates, rules ------------------------------------------------
@@ -192,18 +229,52 @@ def trace_states(result):
 
     Every state is shown except the output of literal-normalization steps
     (`N(k) -> k`), which change nothing visible; the final state is always
-    shown.  Each state is rendered in one pass over the nodes it shows, with
-    one `Replay.resolve` per node: a logged redex is the node its parent
-    holds, so that follows at most one replacement.
+    shown.  The start is rendered once and each step edits it (`_states`).
+    """
+    return list(_states(result))
+
+
+def _states(result):
+    """Yield `trace_states` one state at a time, editing one token list.
+
+    The start state is rendered once, with the owner of each token
+    (`_tokens`).  A step changes only what its redex, the pointer a parent
+    holds, stands for, so every occurrence of the redex is replaced by its
+    new rendering and the rest of the list is kept.  That rendering visits
+    the nodes the step created and copies every older node's tokens out of
+    the old occurrence: the graph is acyclic, so none of them reaches the
+    redex.  Per step, the Python work follows the nodes created; the
+    scans, copies and the state's `"".join` run in C.
     """
     assert result.trace is not None
     replay = Replay()
-    states = [format_node(result.start, replay.resolve)]
+    resolve = replay.resolve
+    parts, owners = [], []
+    _tokens(result.start, resolve, parts, owners=owners)
+    yield "".join(parts)
+    last = len(result.trace)
     for i, step in enumerate(result.trace, 1):
         replay.apply(step)
-        if step.rule.origin != "literal-norm" or i == len(result.trace):
-            states.append(format_node(result.start, replay.resolve))
-    return states
+        redex = step.redex
+        count = owners.count(redex)  # 0 when the start cannot reach it
+        if count:
+            start = owners.index(redex)
+            end = start + 1
+            if parts[start][-1] == "(":  # an application owns two tokens
+                count //= 2
+                end = owners.index(redex, end) + 1
+            new, new_owners = [], []
+            _tokens(redex, resolve, new, False, new_owners,
+                    (parts, owners, start, end))
+            span = end - start
+            parts[start:end] = new
+            owners[start:end] = new_owners
+            for _ in range(count - 1):  # a shared redex prints more than once
+                start = owners.index(redex, start + len(new))
+                parts[start:start + span] = new
+                owners[start:start + span] = new_owners
+        if step.rule.origin != "literal-norm" or i == last:
+            yield "".join(parts)
 
 
 def erased_states(result):
@@ -211,7 +282,9 @@ def erased_states(result):
 
     Erasing splices out the evaluation wrappers, so stretches of machine
     states project to one source expression; the survivors are exactly the
-    source-level derivation the run performs.
+    source-level derivation the run performs.  Every state is rendered in
+    full: erasing walks through wrappers within one lookup, so a redex need
+    not own the tokens its step changes.
     """
     assert result.trace is not None
     replay = Replay()
@@ -224,10 +297,20 @@ def erased_states(result):
     return out
 
 
+def trace_lines(result):
+    """Yield the numbered lines of `format_trace` as the states are made."""
+    trace = result.trace
+    # the start, each step but a literal normalization, and the last step
+    shown = 1 + sum(step.rule.origin != "literal-norm"
+                    for step in trace[:-1]) + bool(trace)
+    width = len(str(shown))
+    for i, state in enumerate(_states(result), 1):
+        yield f"{i:>{width}}  {state}"
+
+
 def format_trace(result):
-    states = trace_states(result)
-    width = len(str(len(states)))
-    return "\n".join(f"{i + 1:>{width}}  {s}" for i, s in enumerate(states))
+    """`trace_states` numbered from 1, one state a line."""
+    return "\n".join(trace_lines(result))
 
 
 # ---- counter tables ----------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from needle import build_program, evaluate, oracle_eval, parse_system
 from needle.core import Node
 from needle.render import format_node
+from needle.runtime import Replay, source_label
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -80,6 +81,38 @@ def int_list(system, values):
 
 def app(system, name, *children):
     return Node(system.symbols[name], children)
+
+
+# ---- reference trace rendering -----------------------------------------------
+
+
+def reference_text(node, resolve, relabel=lambda label: label):
+    """Recursive rendering, rebuilt from scratch for every state."""
+    node = resolve(node)
+    label = relabel(node.label)
+    if isinstance(label, int):
+        return str(label)
+    if not node.children:
+        return label.name
+    kids = ", ".join(reference_text(c, resolve, relabel)
+                     for c in node.children)
+    return f"{label.name}({kids})"
+
+
+def reference_states(res):
+    """What `trace_states` and `erased_states` should give for a traced
+    run, each state rendered in full from the start root."""
+    replay = Replay()
+    states = [reference_text(res.start, replay.resolve)]
+    erased = [reference_text(res.start, replay.erased, source_label)]
+    for i, step in enumerate(res.trace, 1):
+        replay.apply(step)
+        if step.rule.origin != "literal-norm" or i == len(res.trace):
+            states.append(reference_text(res.start, replay.resolve))
+        state = reference_text(res.start, replay.erased, source_label)
+        if state != erased[-1]:
+            erased.append(state)
+    return states, erased
 
 
 # ---- random ground terms -----------------------------------------------------

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -105,6 +107,32 @@ def test_eval_trace_prints_numbered_states(capsys):
     assert out[0].strip().startswith("1  N(append(")
     assert out[-1] == "Cons(1, Cons(2, Nil))"  # the value, after the trace
     assert main(["eval", APPEND, "Nil", "--trace", "--mode", "source"]) == 1
+
+
+def test_eval_trace_prints_each_state_as_it_is_rendered(monkeypatch):
+    # The cr trace of length(append) at 300 + 300 elements is 13.7 MB of
+    # text; printed a state at a time, it never has to be held whole.
+    xs = "Nil"
+    for v in range(300):
+        xs = f"Cons({v}, {xs})"
+
+    class Discard(io.TextIOBase):
+        chars = 0
+
+        def write(self, text):
+            Discard.chars += len(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        assert main(["eval", f"{CORPUS}/length.rw",
+                     f"length(append({xs}, {xs}))", "--trace"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Discard.chars > 13_000_000
+    assert peak < Discard.chars / 4, (peak, Discard.chars)
 
 
 def test_eval_exit_codes(capsys):

@@ -18,9 +18,9 @@ from pathlib import Path
 from needle import (build_program, evaluate, oracle_eval, parse_expr,
                     parse_system, validate_trace)
 from needle.core import H, AnyLit, App, Lit, Share, Var
-from needle.render import format_node
+from needle.render import erased_states, format_node, trace_states
 
-from conftest import CORPUS_NAMES, MODES
+from conftest import CORPUS_NAMES, MODES, reference_states
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
@@ -135,6 +135,9 @@ def test_generated_systems_agree_with_the_source_strategy():
                 assert result.counters.node_allocations == sum(
                     reference_charge(step.rule) for step in result.trace), \
                     where
+                # Spliced states read as every state rendered in full.
+                assert (trace_states(result), erased_states(result)) == \
+                    reference_states(result), where
                 report = validate_trace(system, result, trees=program.trees)
                 assert report.ok, (where, [str(v) for v in report.violations])
                 assert report.proper_steps == source.steps, where

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from needle import evaluate, parse_expr
 from needle.core import Node
 from needle.deftree import build_all_deftrees
@@ -13,9 +15,9 @@ from needle.render import (
     format_trees,
     trace_states,
 )
-from needle.runtime import Replay, source_label
+from needle.runtime import Replay, TraceStep
 
-from conftest import MODES, int_list
+from conftest import MODES, app, int_list, reference_states
 
 APPEND_EXPR = "append(Cons(1, Nil), Cons(2, Nil))"
 
@@ -117,36 +119,102 @@ RENDER_INPUTS = [
 ]
 
 
-def reference_text(node, resolve, relabel=lambda label: label):
-    """Recursive rendering, rebuilt from scratch for every state."""
-    node = resolve(node)
-    label = relabel(node.label)
-    if isinstance(label, int):
-        return str(label)
-    if not node.children:
-        return label.name
-    kids = ", ".join(reference_text(c, resolve, relabel)
-                     for c in node.children)
-    return f"{label.name}({kids})"
+# Hand-built logs for what the corpus runs never show.  Each case names a
+# splicer mutant it catches.
+STAND_IN = SimpleNamespace(origin="rewrite")  # every state is shown
+
+
+def hand_built_logs(system):
+    def node(name, *children):
+        return Node(system.symbols[name], children)
+
+    def run(start, *steps):
+        trace = [TraceStep(STAND_IN, redex, contractum)
+                 for redex, contractum in steps]
+        return SimpleNamespace(start=start, trace=trace)
+
+    # A redex shared by two parents prints twice, and both copies change
+    # (caught: a splicer that replaces only the first occurrence).
+    shared = node("fst", node("MkPair", Node(1), Node(2)))
+    yield "shared", run(
+        node("MkPair", shared, shared),
+        (shared, node("snd", node("MkPair", Node(3), Node(4)))),
+        (shared, Node(5)))
+    # A redex the start cannot reach changes nothing (caught: a splicer that
+    # looks the redex up without counting it first, which raises).
+    yield "unreachable", run(
+        node("fst", node("MkPair", Node(7), Node(8))),
+        (node("loop"), node("loop")))
+    # A nullary operation owns one token, not an opening and a closing one,
+    # so each of its two occurrences counts once (caught: a splicer that ends
+    # every occurrence at the redex's next token, and one that halves every
+    # count).
+    loop = node("loop")
+    yield "nullary", run(
+        node("MkPair", loop, loop),
+        (loop, node("loop")),
+        (loop, node("fst", node("MkPair", Node(1), Node(2)))))
+    # Collapsing steps: the contractum is a node the old occurrence shows,
+    # and its children are copied out of it (caught: a splicer that copies a
+    # child slice reaching outside the old occurrence, by ending a copied
+    # leaf at that pointer's next token, and one that ends a copied
+    # application at its first token).
+    pair = node("MkPair", Node(5), Node(6))
+    inner = node("MkPair", pair, Node(7))
+    first = node("fst", node("MkPair", pair, Node(9)))
+    second = node("snd", node("MkPair", Node(0), inner))
+    yield "collapse", run(node("MkPair", first, second),
+                          (first, pair), (second, inner))
 
 
 def test_trace_rendering_matches_a_reference_renderer(systems, programs):
+    runs = []
     for name, text in RENDER_INPUTS:
         for mode in MODES:
             expr, _ = parse_expr(systems[name], text)
-            res = evaluate(programs(name, mode), expr, trace=True)
-            replay = Replay()
-            states = [reference_text(res.start, replay.resolve)]
-            erased = [reference_text(res.start, replay.erased, source_label)]
-            for i, step in enumerate(res.trace, 1):
-                replay.apply(step)
-                if step.rule.origin != "literal-norm" or i == len(res.trace):
-                    states.append(reference_text(res.start, replay.resolve))
-                state = reference_text(res.start, replay.erased, source_label)
-                if state != erased[-1]:
-                    erased.append(state)
-            assert trace_states(res) == states, (name, mode)
-            assert erased_states(res) == erased, (name, mode)
+            runs.append(((name, mode),
+                         evaluate(programs(name, mode), expr, trace=True)))
+    runs.extend(hand_built_logs(systems["loop"]))
+    for where, res in runs:
+        states, erased = reference_states(res)
+        assert trace_states(res) == states, where
+        assert erased_states(res) == erased, where
+
+
+def tree_size(node):
+    count, stack = 0, [node]
+    while stack:
+        count += 1
+        stack.extend(stack.pop().children)
+    return count
+
+
+def test_trace_rendering_work_follows_the_nodes_created(systems, programs,
+                                                        monkeypatch):
+    # Counted, not timed: rendering every state afresh resolves steps x state
+    # size nodes (about 1.4 million on the list run); splicing resolves the
+    # start once and then about the nodes each step creates.
+    length = systems["length"]
+    runs = [("fib", parse_expr(systems["fib"], "fib(12)")[0]),
+            ("length", app(length, "length", app(
+                length, "append", int_list(length, range(200)),
+                int_list(length, range(200, 400)))))]
+    for name, expr in runs:
+        start = tree_size(expr) + 1  # and the root N
+        res = evaluate(programs(name, "cr"), expr, trace=True)
+        resolved = 0
+        real = Replay.resolve
+
+        def counting(self, node):
+            nonlocal resolved
+            resolved += 1
+            return real(self, node)
+
+        monkeypatch.setattr(Replay, "resolve", counting)
+        trace_states(res)
+        monkeypatch.undo()
+        assert resolved < start + 2 * res.counters.nodes_created, \
+            (name, resolved, start, res.counters.nodes_created)
 
 
 def test_long_list_value_renders_as_text_built_without_needle(systems,
