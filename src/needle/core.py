@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 # ---- symbols ----------------------------------------------------------------
@@ -30,7 +30,8 @@ INT_SORT = "Int"
 class Symbol:
     """An interned signature symbol; equality is object identity."""
 
-    __slots__ = ("name", "kind", "arity", "arg_sorts", "result_sort", "base")
+    __slots__ = ("name", "kind", "arity", "arg_sorts", "result_sort", "base",
+                 "is_data", "is_op")
 
     def __init__(self, name, kind, arity, arg_sorts=(), result_sort=None, base=None):
         self.name = name
@@ -40,18 +41,13 @@ class Symbol:
         self.result_sort = result_sort
         # For specialized evaluation symbols: the operation they stand for.
         self.base = base
+        # Whether the symbol may appear in source terms and values.
+        self.is_data = kind in (CONSTRUCTOR, OPERATION, BUILTIN)
+        # Whether a node it labels is a call: a user or builtin operation.
+        self.is_op = kind in (OPERATION, BUILTIN)
 
     def __repr__(self):
         return f"Symbol({self.name!r}, {self.kind})"
-
-    @property
-    def is_data(self):
-        """True for symbols that may appear in source terms and values."""
-        return self.kind in (CONSTRUCTOR, OPERATION, BUILTIN)
-
-    @property
-    def is_op(self):
-        return self.kind in (OPERATION, BUILTIN)
 
 
 # The two evaluation wrappers: head-normalize and normalize.
@@ -203,12 +199,16 @@ def var_paths(p):
 
 @dataclass(slots=True)
 class SourceRule:
-    """A user-level rewrite rule `op(patterns) = template`."""
+    """A user-level rewrite rule `op(patterns) = template`.
+
+    `plan` is the oracle's post-order instantiation plan of `rhs`, made the
+    first time the rule is contracted (`oracle.apply_source_rule`)."""
 
     op: Symbol
     lhs: App
     rhs: object
     index: int
+    plan: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __repr__(self):
         return f"SourceRule({self.op.name}#{self.index})"

@@ -9,7 +9,16 @@ steps.
 `oracle_eval` normalizes a source expression directly, with no compiled
 rules, by contracting each redex the strategy yields.  Rewrites forward graph
 nodes, so shared subterms are evaluated once, exactly like the compiled
-evaluators.
+evaluators.  `apply_source_rule` binds the rule's left-side variables with a
+walk over its pattern, then instantiates its right side from the rule's
+plan: the right side in post-order, one instruction per subterm that makes
+a leaf, reuses a bound node or applies a symbol to the nodes just built.
+The plan is made the first time the rule is contracted and kept in
+`SourceRule.plan`, so parsing pays nothing for rules that never fire and a
+rule that fires again reads its plan rather than walking its right side.
+This copy of matching and instantiation is kept apart from the runtime's
+slot code on purpose: it is the reference the compiled runs are checked
+against.
 
 `validate_trace` replays a traced compiled run's rewrite log beside a live
 source graph.  Erasing the evaluation wrappers, each dispatch or norm step
@@ -59,9 +68,9 @@ def source_strategy(trees, root):
     seen = set()  # constructor nodes already visited: their graphs are done
     while visit:
         held = visit.pop()
-        node = resolve(held)
+        node = held if held.forward is None else resolve(held)
         label = node.label
-        if isinstance(label, int) or node in seen:
+        if label.__class__ is int or node in seen:
             continue
         if not label.is_op:
             seen.add(node)
@@ -69,74 +78,66 @@ def source_strategy(trees, root):
             continue
         calls = [node]
         while calls:
-            found = _demand(trees, calls[-1])
-            if found.__class__ is Node:
-                calls.append(found)
+            # The call on top either demands an operation-rooted argument,
+            # which is pushed, or is the redex, which is yielded.
+            call = calls[-1]
+            label = call.label
+            demanded = None
+            if label.kind == BUILTIN:
+                source = label
+                for arg in call.children:
+                    if arg.forward is not None:
+                        arg = resolve(arg)
+                    if arg.label.__class__ is not int:
+                        if not arg.label.is_op:
+                            raise AssertionError(
+                                "builtin applied to a non-Int argument")
+                        demanded = arg
+                        break
+            else:
+                source = trees[label]
+                while source is not None \
+                        and source.__class__ is not SourceRule:
+                    arg = call  # live: a step forwards only its redex
+                    for i in source.path:
+                        arg = arg.children[i]
+                        if arg.forward is not None:
+                            arg = resolve(arg)
+                    arg_label = arg.label
+                    if arg_label.__class__ is not int and arg_label.is_op:
+                        demanded = arg
+                        break
+                    if source.__class__ is DTBranch:
+                        for ctor, subtree in source.children:
+                            if ctor is arg_label:
+                                break
+                        else:
+                            raise AssertionError(
+                                "branch met an unknown constructor")
+                    else:  # DTIntBranch
+                        if arg_label.__class__ is not int:
+                            raise AssertionError(
+                                "integer branch met a constructor")
+                        for value, subtree in source.children:
+                            if value == arg_label:
+                                break
+                        else:
+                            subtree = source.default
+                    source = subtree
+            if demanded is not None:
+                calls.append(demanded)
                 continue
-            yield found
+            yield call, source
             calls.pop()
         visit.append(held)  # its next `resolve` shortens its chain
 
 
-def _demand(trees, node):
-    """The pair (node, source) of operation node `node`, or the
-    operation-rooted argument its definitional tree demands first."""
-    label = node.label
-    if label.kind == BUILTIN:
-        for child in node.children:
-            c = resolve(child)
-            if isinstance(c.label, int):
-                continue
-            if c.label.is_op:
-                return c
-            raise AssertionError("builtin applied to a non-Int argument")
-        return node, label
-    cur = trees[label]
-    while True:
-        if cur is None or cur.__class__ is SourceRule:
-            return node, cur
-        sub = node  # live: a step forwards only the call it contracts
-        for i in cur.path:
-            sub = resolve(sub.children[i])
-        sub_label = sub.label
-        if not isinstance(sub_label, int) and sub_label.is_op:
-            return sub
-        if isinstance(cur, DTBranch):
-            for ctor, subtree in cur.children:
-                if ctor is sub_label:
-                    break
-            else:
-                raise AssertionError("branch met an unknown constructor")
-        else:  # DTIntBranch
-            if not isinstance(sub_label, int):
-                raise AssertionError("integer branch met a constructor")
-            for value, subtree in cur.children:
-                if value == sub_label:
-                    break
-            else:
-                subtree = cur.default
-        cur = subtree
-
-
-def apply_source_rule(rule, node):
-    """The contractum of source rule `rule` at `node`, which it matches."""
-    bindings = {}
-    stack = [(rule.lhs, node)]
-    while stack:
-        p, n = stack.pop()
-        if n.forward is not None:
-            n = resolve(n)
-        cls = p.__class__
-        if cls is Var:
-            bindings[p.name] = n
-            continue
-        assert n.label is p.label if cls is App else n.label == p.value, \
-            "descent selected a rule that does not match"
-        if cls is App:
-            stack.extend(zip(p.args, n.children))
-    # Build the right side bottom-up: an application's symbol is pushed below
-    # its arguments, and once they are built it takes its arity off `out`.
-    out, stack = [], [rule.rhs]
+def _plan(rhs):
+    """The post-order instantiation plan of right side `rhs`: per subterm,
+    (label, arity) to apply `label` to the last `arity` nodes built (arity 0
+    for a leaf or a literal), or (None, name) to reuse the node bound to
+    `name`."""
+    plan, stack = [], [rhs]
     while stack:
         t = stack.pop()
         cls = t.__class__
@@ -145,24 +146,64 @@ def apply_source_rule(rule, node):
                 stack.append(t.label)
                 stack += t.args[::-1]
             else:
-                out.append(Node(t.label))
+                plan.append((t.label, 0))
         elif cls is Var:
-            out.append(bindings[t.name])
+            plan.append((None, t.name))
         elif cls is Lit:
-            out.append(Node(t.value))
-        else:  # the symbol of an application whose arguments are built
-            kids = out[-t.arity:]
-            del out[-t.arity:]
-            out.append(Node(t, kids))
+            plan.append((t.value, 0))
+        else:  # the symbol of an application whose arguments are planned
+            plan.append((t, t.arity))
+    return tuple(plan)
+
+
+def apply_source_rule(rule, node):
+    """The contractum of source rule `rule` at `node`, which it matches.
+
+    The left side binds each variable to the live node it matches; the
+    rule's plan (made at its first contraction) then builds the right side
+    bottom-up on one stack."""
+    assert node.label is rule.op, "descent selected a rule that does not match"
+    bindings = {}
+    stack = [(rule.lhs, node)]
+    while stack:
+        p, n = stack.pop()
+        for q, c in zip(p.args, n.children):
+            if c.forward is not None:
+                c = resolve(c)
+            cls = q.__class__
+            if cls is Var:
+                bindings[q.name] = c
+                continue
+            assert c.label is q.label if cls is App else c.label == q.value, \
+                "descent selected a rule that does not match"
+            if cls is App and q.args:
+                stack.append((q, c))
+    plan = rule.plan
+    if plan is None:
+        plan = rule.plan = _plan(rule.rhs)
+    out = []
+    push = out.append
+    for label, arg in plan:
+        if label is None:
+            push(bindings[arg])
+        elif arg:
+            kids = out[-arg:]
+            del out[-arg:]
+            push(Node(label, kids))
+        else:
+            push(Node(label))
     return out[0]
 
 
 def _contract(node, source):
     """The contractum of the needed redex `node` under `source`."""
     if source.__class__ is Symbol:
-        a = resolve(node.children[0]).label
-        b = resolve(node.children[1]).label
-        return Node(int_op(source.name, a, b))
+        a, b = node.children
+        if a.forward is not None:
+            a = resolve(a)
+        if b.forward is not None:
+            b = resolve(b)
+        return Node(int_op(source.name, a.label, b.label))
     return apply_source_rule(source, node)
 
 
@@ -306,7 +347,7 @@ def validate_trace(system, result, trees=None):
                         break
                     sub = replay.resolve(sub.children[j])
                 else:
-                    if not (isinstance(sub.label, Symbol) and sub.label.is_op):
+                    if not (sub.label.__class__ is Symbol and sub.label.is_op):
                         faults.append(("dispatch-target", f"dispatch forced "
                                        f"a non-operation node "
                                        f"{_where(replay, result.start, sub)}"))
@@ -355,7 +396,7 @@ def validate_trace(system, result, trees=None):
                 continue
             seen.add(node)
             label = node.label
-            if isinstance(label, Symbol) and not label.is_data:
+            if label.__class__ is Symbol and not label.is_data:
                 violations.append(Violation(
                     len(result.trace), "wrapper-in-value",
                     f"final state contains "

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from needle import (SourceError, build_program, evaluate, oracle_eval,
                     parse_expr, parse_system)
 from needle.cli import main
-from needle.core import App, Lit, Node, Var
+from needle.core import H, N, App, Lit, Node, Var
 from needle.frontend import scan
 from needle.render import format_node
 
@@ -108,6 +108,22 @@ def test_parse_minimal_system():
     # add/sub are implicitly declared
     assert [b.name for b in system.builtins] == ["add", "sub"]
     assert system.symbols["add"].arg_sorts == ("Int", "Int")
+
+
+def test_symbol_flags_follow_the_kind():
+    """`is_data` marks symbols that may sit in source terms and values, and
+    `is_op` those that are called rather than built."""
+    system = parse_system(NAT, "nat")
+    sym = system.symbols
+    tr_heads = {rule.lhs.label for rule in build_program(system, "tr").rules}
+    double_h = next(f for f in tr_heads if f.name == "double^H")
+    flags = {f.name: (f.is_data, f.is_op) for f in (
+        sym["Z"], sym["S"], sym["double"], sym["add"], sym["sub"], H, N,
+        double_h)}
+    assert flags == {"Z": (True, False), "S": (True, False),
+                     "double": (True, True), "add": (True, True),
+                     "sub": (True, True), "H": (False, False),
+                     "N": (False, False), "double^H": (False, False)}
 
 
 def test_ops_returning_lists_user_ops_before_builtins():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from needle import (Node, build_all_deftrees, evaluate, oracle_eval,
-                    parse_expr, validate_trace)
-from needle.oracle import source_strategy
+import dataclasses
+
+from needle import (Node, build_all_deftrees, build_program, evaluate,
+                    oracle_eval, parse_expr, parse_system, validate_trace)
+from needle.oracle import _plan, source_strategy
 from needle.render import format_node
 
-from conftest import int_list
+from conftest import int_list, load_system
 
 APPEND_EXPR = "append(Cons(1, Nil), Cons(2, Nil))"
 
@@ -62,6 +64,52 @@ def test_oracle_matches_compiled_proper_steps(systems, programs):
             expr, _ = parse_expr(systems[name], text)
             res = evaluate(programs(name, mode), expr)
             assert res.proper_steps == base.steps, (name, mode)
+
+
+# ---- contraction -------------------------------------------------------------
+
+
+def test_a_repeated_variable_shares_its_node():
+    system = parse_system("data P = Q(Int, Int); op dup(Int) -> P: "
+                          "dup(x) = Q(x, x);")
+    expr, _ = parse_expr(system, "dup(add(1, 2))")
+    res = oracle_eval(system, expr)
+    assert (res.outcome, res.steps) == ("value", 2)
+    first, second = res.root.children
+    assert first is second
+    assert format_node(res.root) == "Q(3, 3)"
+
+
+def test_each_fired_rule_plans_its_right_side_once(monkeypatch):
+    system = load_system("fib")
+    built = []
+
+    def counted(rhs):
+        built.append(rhs)
+        return _plan(rhs)
+
+    monkeypatch.setattr("needle.oracle._plan", counted)
+    for _ in range(2):
+        assert oracle_eval(system, parse_expr(system, "fib(5)")[0]).steps == 36
+    expr, _ = parse_expr(system, "fib(5)")
+    res = evaluate(build_program(system, "cr"), expr, trace=True)
+    assert validate_trace(system, res).ok
+    rules = system.rules[system.symbols["fib"]]
+    assert all(rule.plan is not None for rule in rules)
+    assert sorted(map(id, built)) == sorted(id(rule.rhs) for rule in rules)
+
+
+def test_a_planned_rule_compares_and_prints_as_before(systems):
+    """The plan a contraction caches takes no part in equality or `repr`.
+    Symbols compare by identity, so the counterpart that must compare equal
+    is a copy without a plan; the fresh parse's rule must print the same."""
+    system, fresh = systems["fib"], load_system("fib")
+    oracle_eval(system, parse_expr(system, "fib(5)")[0])
+    for rule, other in zip(*(s.rules[s.symbols["fib"]]
+                             for s in (system, fresh))):
+        assert rule.plan is not None and other.plan is None
+        assert rule == dataclasses.replace(rule, plan=None)
+        assert repr(rule) == repr(other) == f"SourceRule(fib#{rule.index})"
 
 
 # ---- needed descent ----------------------------------------------------------
