@@ -20,12 +20,13 @@ argument positions only: codegen builds the pattern each tree node stands
 for, and a rule reached through an integer branch's default matches only a
 literal at that branch's position (a literal guard).
 
-Rule priority is list order; the matcher tries rules first to last.
+Rule priority is list order: selection picks the first matching rule in list
+order, and skips only rules whose first test rejects a switch label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -101,7 +102,8 @@ class ObjectProgram:
     mode: str
     rules: list
     trees: dict
-    rule_groups: Optional[dict] = None  # filled lazily by the evaluator
+    # filled lazily by the evaluator
+    rule_groups: Optional[dict] = field(default=None, compare=False, repr=False)
 
 
 # ---- helpers ----------------------------------------------------------------

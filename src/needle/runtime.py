@@ -21,13 +21,20 @@ wrappers: a divergent run takes constant memory.  The rewrite log names
 the popped node, the one a parent holds, as each step's redex.
 
 The first evaluation of a program compiles its rules into slot code, one
-group per redex shape, that later evaluations reuse.  Rule selection runs
-inside the loop, not in a call of its own.  A selection fills one list of
-slots, one per left-side position in the group; match instructions and
-right-side builder closures read the nodes from their slots.  A builder
-calls its subtrees' builders, one frame per level, but an application at a
-depth that is a multiple of `MAX_NESTING` is built first, into a slot of its
-own, so right sides of any depth build within the default recursion limit.
+group per head symbol, that later evaluations reuse.  Rule selection runs
+inside the loop, not in a call of its own, and fills one list of slots, one
+per left-side position in the group.  It keeps priority order, but switches
+on the position the first rule tests first: it fetches the node there once
+and keeps only the rules whose first test accepts that node's label or lies
+elsewhere, then switches once more among those, and tries the rest in
+order.  Under H or N the switches are the wrapped call and the first
+position tested below it: the rules for one call come from one definitional
+tree, so most of them test that position first.  Only the chosen rule's
+variables are bound, in one loop, and its right-side builder closure reads
+the nodes from their slots.  A builder calls its subtrees' builders, one
+frame per level, but an application at a depth that is a multiple of
+`MAX_NESTING` is built first, into a slot of its own, so right sides of any
+depth build within the default recursion limit.
 
 Counters
 --------
@@ -76,9 +83,9 @@ MAX_NESTING = 50
 
 _EVALUABLE_KINDS = (CONTROL, SPECIALIZED)
 
-# Match instruction opcodes.
-_APP, _VAR, _LIT, _ANYLIT = 0, 1, 2, 3
-_NO_RULES = (2, ())  # the group of a redex shape no rule fires on
+# Test opcodes.
+_APP, _LIT, _ANYLIT = 0, 1, 2
+_NO_RULES = (1, None, ())  # the group of a head no rule fires on
 
 # Index of a step class among the counters; exempt rules never step.
 _STEP_CLASS = {"rewrite": 0, "shortcut": 1, "dispatch": 2, "norm": 3,
@@ -194,51 +201,85 @@ def source_label(label):
 
 
 def _compile_groups(rules):
-    """Group a program's rules by redex shape and compile them to slot code.
+    """Group a program's rules by head symbol and compile them to slot code.
 
-    A group is (slot count, entries), one entry per rule in priority order:
-    (match code, step class index, node allocations, nodes created,
-    builder, variable slots, fresh evaluable paths, rule); `_builder` gives
-    the nodes created, the builder and the paths.  A rewrite or shortcut
-    rule allocates the nodes it creates that are not evaluable, and any
-    other rule allocates none.  Slot 0 is the redex and, under H or N, slot
-    1 its child, which selection fetches and checks against the group's
-    key.  Match instructions are (opcode, slot, parent slot, child index,
-    payload) in pre-order, so a slot's parent is always filled first.
+    A group is (slot count, switch, table), see `_switches`; slot 0 is the
+    redex.  An entry is (tests, binds, step class index, node allocations,
+    nodes created, builder, fresh evaluable paths, rule), one per rule.
+    Tests are the App, Lit and AnyLit positions as (opcode, slot, parent
+    slot, child index, payload) in pre-order, so a slot's parent is filled
+    first; binds are the Var positions as (slot, parent slot, child index).
+    A rewrite or shortcut rule allocates the nodes it creates that are not
+    evaluable, and any other rule allocates none.
     """
     groups = {}
     for rule in rules:
-        key = head = rule.head
-        wrapped = head is H or head is N
-        if wrapped:
-            child = rule.lhs.args[0]
-            key = (head, child.label if child.__class__ is App else int)
-        slot_of, entries = groups.setdefault(
-            key, ({(0, 0): 1} if wrapped else {}, []))
-        code, var_slot = [], {}
+        slot_of, entries = groups.setdefault(rule.head, ({}, []))
+        tests, binds, var_slot = [], [], {}
         stack = [(arg, 0, i) for i, arg in enumerate(rule.lhs.args)][::-1]
         while stack:
             pattern, parent, idx = stack.pop()
             slot = slot_of.setdefault((parent, idx), len(slot_of) + 1)
             cls = pattern.__class__
             if cls is App:
-                op, payload = _APP, pattern.label
+                tests.append((_APP, slot, parent, idx, pattern.label))
                 args = enumerate(pattern.args)
                 stack += [(arg, slot, i) for i, arg in args][::-1]
             elif cls is Lit:
-                op, payload = _LIT, pattern.value
+                tests.append((_LIT, slot, parent, idx, pattern.value))
             else:
-                op, payload = (_VAR if cls is Var else _ANYLIT), None
                 var_slot[pattern.name] = slot
-            if not (wrapped and slot == 1):
-                code.append((op, slot, parent, idx, payload))
+                if cls is Var:
+                    binds.append((slot, parent, idx))
+                else:
+                    tests.append((_ANYLIT, slot, parent, idx, None))
         build, created, fresh = _builder(rule, var_slot, slot_of)
         step = _STEP_CLASS[rule.step_class]
         allocs = created - len(fresh) if step in (0, 1) else 0
-        entries.append((tuple(code), step, allocs, created, build,
-                        tuple(var_slot.values()), fresh, rule))
-    return {key: (len(slot_of) + 1, tuple(entries))
-            for key, (slot_of, entries) in groups.items()}
+        entries.append((tuple(tests), tuple(binds), step, allocs, created,
+                        build, fresh, rule))
+    return {head: (len(slot_of) + 1, *_switches(entries))
+            for head, (slot_of, entries) in groups.items()}
+
+
+def _switches(entries):
+    """Entries in priority order as [switch, table], two switches deep.  A
+    switch is the position of the first entry's first test, as (slot,
+    parent slot, child index).  Its table maps each label a first test there
+    names (a symbol, or a Lit's Int), and `Symbol` and `int` for any other,
+    to the [switch, table] of the entries that accept it.  An entry tested
+    elsewhere or not at all is in every list; one tested at the switch is
+    listed without that test.  Where the first entry tests nothing, or below
+    the second switch, the switch is None and the table the entries."""
+    top = [None, entries]
+    work = [(top, 2)]
+    while work:
+        branch, levels = work.pop()
+        entries = branch[1]
+        if not (levels and entries and entries[0][0]):
+            continue
+        at = entries[0][0][0][1:4]
+        table = {Symbol: [], int: []}
+        every, ints = list(table.values()), [table[int]]
+        for tests, *rest in entries:
+            into, entry = every, (tests, *rest)
+            if tests and tests[0][1] == at[0]:
+                op, label, entry = tests[0][0], tests[0][4], (tests[1:], *rest)
+                into = ints
+                if op != _ANYLIT:
+                    if label not in table:
+                        table[label] = table[label.__class__][:]
+                        every.append(table[label])
+                        if op == _LIT:
+                            ints.append(table[label])
+                    into = (table[label],)
+            for listed in into:
+                listed.append(entry)
+        for label, listed in table.items():
+            table[label] = [None, listed]
+            work.append((table[label], levels - 1))
+        branch[:] = at, table
+    return top
 
 
 def _builder(rule, var_slot, slot_of):
@@ -264,12 +305,12 @@ def _builder(rule, var_slot, slot_of):
             stack += [(arg, path + (i,))
                       for i, arg in enumerate(t.args)][::-1]
         elif cls is Var:
-            out.append(itemgetter(var_slot[t.name]))
+            out.append(var_slot[t.name])
         elif cls is Share:
             slot = 0
             for i in t.path:
                 slot = slot_of[(slot, i)]
-            out.append(itemgetter(slot))
+            out.append(slot)
         elif cls is Lit:
             created += 1
             out.append(lambda s, value=t.value: Node(value))
@@ -281,9 +322,10 @@ def _builder(rule, var_slot, slot_of):
             build = _application(t, kids)
             if path and len(path) % MAX_NESTING == 0:  # built ahead, in a slot
                 stages.append((-1 - len(stages), build))
-                build = itemgetter(stages[-1][0])
+                build = stages[-1][0]
             out.append(build)
     top, fresh = out[0], tuple(reversed(fresh))
+    top = itemgetter(top) if top.__class__ is int else top  # a reused node
     if not stages:
         return top, created, fresh
 
@@ -296,12 +338,22 @@ def _builder(rule, var_slot, slot_of):
 
 
 def _application(label, kids):
+    """A builder of `label` over `kids`: builders, or slots read as `s[i]`."""
     if len(kids) == 2:
         f, g = kids
+        if f.__class__ is int:
+            if g.__class__ is int:
+                return lambda s: Node(label, (s[f], s[g]))
+            return lambda s: Node(label, (s[f], g(s)))
+        if g.__class__ is int:
+            return lambda s: Node(label, (f(s), s[g]))
         return lambda s: Node(label, (f(s), g(s)))
     if len(kids) == 1:
         f, = kids
+        if f.__class__ is int:
+            return lambda s: Node(label, (s[f],))
         return lambda s: Node(label, (f(s),))
+    kids = [itemgetter(f) if f.__class__ is int else f for f in kids]
     return lambda s: Node(label, tuple([f(s) for f in kids]))
 
 
@@ -351,25 +403,22 @@ def evaluate(program, expr, max_steps=None, trace=False):
         held = pop()
         node = held.forward or held  # one hop: `held` forwards to a live node
         fetched.clear()
-        label = node.label
-        if label is H or label is N:
-            child = node.children[0]
-            if child.forward is not None:
-                child = resolve(child)
-            clabel = child.label
-            nslots, entries = get_group(
-                (label, clabel if clabel.__class__ is Symbol else int),
-                _NO_RULES)
-            matches += 1
-            slots = [None] * nslots
-            slots[1] = child
-            fetched.add(child)
-        else:
-            nslots, entries = get_group(label, _NO_RULES)
-            slots = [None] * nslots
+        nslots, switch, table = get_group(node.label, _NO_RULES)
+        slots = [None] * nslots
         slots[0] = node
         fetches = 0
-        for entry in entries:
+        while switch is not None:  # fetch each switch position once
+            slot, parent, idx = switch
+            target = slots[parent].children[idx]
+            if target.forward is not None:
+                target = resolve(target)
+            slots[slot] = target
+            if target not in fetched:
+                fetched.add(target)
+                fetches += 1
+            label = target.label
+            switch, table = table.get(label) or table[label.__class__]
+        for entry in table:
             for op, slot, parent, idx, payload in entry[0]:
                 target = slots[slot]
                 if target is None:
@@ -377,8 +426,6 @@ def evaluate(program, expr, max_steps=None, trace=False):
                     if target.forward is not None:
                         target = resolve(target)
                     slots[slot] = target
-                if op == _VAR:
-                    continue
                 if target not in fetched:
                     fetched.add(target)
                     fetches += 1
@@ -396,8 +443,7 @@ def evaluate(program, expr, max_steps=None, trace=False):
             outcome = None
             break
         matches += fetches
-        _, cls, rule_allocs, rule_created, build, var_slots, fresh, \
-            rule = entry
+        _, binds, cls, rule_allocs, rule_created, build, fresh, rule = entry
         if cls < 0:  # exempt: no rule can ever apply here
             outcome, abort_rule = "aborted", rule
             break
@@ -407,12 +453,14 @@ def evaluate(program, expr, max_steps=None, trace=False):
         steps += 1
         by_class[cls] += 1
         allocs += rule_allocs
-        if __debug__:
-            for slot in var_slots:
-                blabel = slots[slot].label
-                assert not (blabel.__class__ is Symbol
-                            and blabel.kind in _EVALUABLE_KINDS), \
-                    "innermost discipline violated"
+        for slot, parent, idx in binds:
+            target = slots[parent].children[idx]
+            if target.forward is not None:
+                target = resolve(target)
+            slots[slot] = target
+            assert not (target.label.__class__ is Symbol
+                        and target.label.kind in _EVALUABLE_KINDS), \
+                "innermost discipline violated"
         created += rule_created
         replacement = build(slots)
         held.forward = node.forward = replacement

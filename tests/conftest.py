@@ -24,6 +24,29 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CORPUS_NAMES = ("append", "length", "fib", "head", "loop", "tree")
 MODES = ("cr", "tr", "or")
 
+# Terminating inputs used for the conservation and validation sweeps.
+# (Aborted runs terminate too; divergent ones are exercised elsewhere.)
+CORPUS_INPUTS = [
+    ("append", "append(Nil, Nil)"),
+    ("append", "append(Cons(1, Nil), Cons(2, Nil))"),
+    ("append", "append(append(Cons(1, Nil), Nil), Cons(2, Cons(3, Nil)))"),
+    ("length", "length(Nil)"),
+    ("length", "length(append(Cons(4, Nil), Cons(5, Cons(6, Nil))))"),
+    ("length", "append(Cons(add(1, 2), Nil), Cons(sub(5, 9), Nil))"),
+    ("fib", "fib(0)"),
+    ("fib", "fib(9)"),
+    ("fib", "fib(12)"),
+    ("head", "head(Cons(7, Nil))"),
+    ("head", "head(Cons(add(40, 2), Cons(0, Nil)))"),
+    ("head", "head(Nil)"),
+    ("loop", "snd(MkPair(loop, 0))"),
+    ("loop", "fst(MkPair(3, loop))"),
+    ("loop", "add(fst(MkPair(1, loop)), snd(MkPair(loop, 2)))"),
+    ("tree", "size(Fork(Fork(Tip(1), Leaf), Tip(2)))"),
+    ("tree", "size(mirror(Fork(Tip(1), Fork(Tip(2), Leaf))))"),
+    ("tree", "mirror(mirror(Fork(Tip(7), Leaf)))"),
+]
+
 
 def load_system(name):
     text = (CORPUS_DIR / f"{name}.rw").read_text()

@@ -29,6 +29,7 @@ from needle.render import (
 from needle.runtime import NoRuleError
 
 from conftest import (
+    CORPUS_INPUTS,
     CORPUS_NAMES,
     MODES,
     assert_modes_agree,
@@ -40,29 +41,6 @@ from conftest import (
 )
 
 APPEND_EXPR = "append(Cons(1, Nil), Cons(2, Nil))"
-
-# Terminating inputs used for the conservation and validation sweeps.
-# (Aborted runs terminate too; divergent ones are exercised elsewhere.)
-CORPUS_INPUTS = [
-    ("append", "append(Nil, Nil)"),
-    ("append", APPEND_EXPR),
-    ("append", "append(append(Cons(1, Nil), Nil), Cons(2, Cons(3, Nil)))"),
-    ("length", "length(Nil)"),
-    ("length", "length(append(Cons(4, Nil), Cons(5, Cons(6, Nil))))"),
-    ("length", "append(Cons(add(1, 2), Nil), Cons(sub(5, 9), Nil))"),
-    ("fib", "fib(0)"),
-    ("fib", "fib(9)"),
-    ("fib", "fib(12)"),
-    ("head", "head(Cons(7, Nil))"),
-    ("head", "head(Cons(add(40, 2), Cons(0, Nil)))"),
-    ("head", "head(Nil)"),
-    ("loop", "snd(MkPair(loop, 0))"),
-    ("loop", "fst(MkPair(3, loop))"),
-    ("loop", "add(fst(MkPair(1, loop)), snd(MkPair(loop, 2)))"),
-    ("tree", "size(Fork(Fork(Tip(1), Leaf), Tip(2)))"),
-    ("tree", "size(mirror(Fork(Tip(1), Fork(Tip(2), Leaf))))"),
-    ("tree", "mirror(mirror(Fork(Tip(7), Leaf)))"),
-]
 
 # Per-system step budgets for the randomized sweep: the source-strategy
 # budget bounds the baseline, the machine budget leaves room for dispatch

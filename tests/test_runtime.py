@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from conftest import app, int_list
+from conftest import CORPUS_INPUTS, MODES, app, int_list
 
 from needle import (EvaluationError, build_program, evaluate, oracle_eval,
                     parse_expr, parse_system, validate_trace)
-from needle.core import H, Node, resolve
+from needle.core import H, AnyLit, App, Lit, Node, resolve
 from needle.render import format_node, format_trace
 from needle.runtime import DEFAULT_MAX_STEPS, NoRuleError, Replay, step_budget
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 APPEND_EXPR = "append(Cons(1, Nil), Cons(2, Nil))"
 
@@ -325,6 +330,67 @@ def test_compiled_rule_caches_fill_on_first_use(systems):
     again = evaluate(program, expr)
     assert program.rule_groups is groups
     assert counters_of(first) == counters_of(again)
+
+
+def test_running_a_program_keeps_its_equality_and_repr(systems):
+    fib = systems["fib"]
+    program, twin = build_program(fib, "cr"), build_program(fib, "cr")
+    text = repr(program)
+    evaluate(program, parse_expr(fib, "fib(3)")[0])
+    assert program.rule_groups is not None
+    assert program == twin
+    assert repr(program) == text
+
+
+# ---- selection order ----------------------------------------------------------
+
+
+def lhs_matches(pattern, node, resolve):
+    """Whether `node`, read through `resolve`, is an instance of the left
+    side `pattern`: a plain walk over the pattern, apart from the runtime's
+    slot code."""
+    stack = [(pattern, node)]
+    while stack:
+        pattern, node = stack.pop()
+        node = resolve(node)
+        label, cls = node.label, pattern.__class__
+        if cls is App:
+            if label is not pattern.label:
+                return False
+            stack += zip(pattern.args, node.children)
+        elif cls is Lit or cls is AnyLit:
+            if label.__class__ is not int \
+                    or (cls is Lit and label != pattern.value):
+                return False
+    return True
+
+
+def assert_first_matching_rules_fire(program, res, where):
+    replay = Replay()
+    for i, step in enumerate(res.trace):
+        first = next((rule for rule in program.rules
+                      if lhs_matches(rule.lhs, step.redex, replay.resolve)),
+                     None)
+        assert step.rule is first, (where, i)
+        replay.apply(step)
+
+
+def test_each_step_fires_the_first_matching_rule(systems, programs):
+    for name, text in CORPUS_INPUTS:
+        for mode in MODES:
+            res = run(systems, programs, name, mode, text, trace=True)
+            assert_first_matching_rules_fire(programs(name, mode), res,
+                                             (name, mode, text))
+    for seed in range(80):
+        generated = gen.SystemGen(random.Random(seed), 1 + seed % 44)
+        system = parse_system(generated.text(), f"gen{seed}")
+        for mode in MODES:
+            program = build_program(system, mode)
+            for term in generated.ground_terms(3):
+                res = evaluate(program, parse_expr(system, term)[0],
+                               max_steps=3000, trace=True)
+                assert_first_matching_rules_fire(program, res,
+                                                 (seed, mode, term))
 
 
 # ---- memory management --------------------------------------------------------
