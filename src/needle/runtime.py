@@ -43,8 +43,9 @@ Counters
   a specialized symbol, skipping a wrapper round trip).
 * dispatch steps: argument-forcing rules introduced by compilation.
 * norm steps: constructor walks of the normalization wrapper.
-* node matches: node-label fetches performed while selecting a rule.  Fetches
-  are memoized per selection, and the redex root itself is never fetched.
+* node matches: the number of distinct nodes whose labels one selection
+  reads, kept as one set per selection: a node reached at two positions
+  counts once, and the redex root itself is never read.
 * node allocations: fresh data nodes (signature symbols and literals)
   allocated by rewrite and shortcut steps.  Wrapper nodes and the contracta
   of dispatch/norm steps are control bookkeeping and are not counted.
@@ -380,7 +381,7 @@ def evaluate(program, expr, max_steps=None, trace=False):
 
     The run rewrites until the worklist is empty, an exempt rule aborts, or
     the budget runs out.  Each step selects the first matching rule of the
-    node's group.  Every node-label fetch is counted once per selection (the
+    node's group.  Each node whose label a selection reads counts once (the
     redex root label is already known from scheduling and is free).  The
     counters are kept in locals and become a `Counters` once, after the
     loop.  An exception raised inside the loop (integer overflow, memory)
@@ -395,7 +396,8 @@ def evaluate(program, expr, max_steps=None, trace=False):
     pop = stack.pop
     push = stack.append
     get_group = program.rule_groups.get
-    fetched = set()
+    fetched = set()  # the nodes whose labels this selection reads
+    fetch = fetched.add
     by_class = [0, 0, 0, 0]  # rewrite, shortcut, dispatch and norm steps
     steps = matches = allocs = created = 0
     outcome, abort_rule = "value", None
@@ -406,16 +408,13 @@ def evaluate(program, expr, max_steps=None, trace=False):
         nslots, switch, table = get_group(node.label, _NO_RULES)
         slots = [None] * nslots
         slots[0] = node
-        fetches = 0
         while switch is not None:  # fetch each switch position once
             slot, parent, idx = switch
             target = slots[parent].children[idx]
             if target.forward is not None:
                 target = resolve(target)
             slots[slot] = target
-            if target not in fetched:
-                fetched.add(target)
-                fetches += 1
+            fetch(target)
             label = target.label
             switch, table = table.get(label) or table[label.__class__]
         for entry in table:
@@ -426,9 +425,7 @@ def evaluate(program, expr, max_steps=None, trace=False):
                     if target.forward is not None:
                         target = resolve(target)
                     slots[slot] = target
-                if target not in fetched:
-                    fetched.add(target)
-                    fetches += 1
+                    fetch(target)
                 if op == _APP:
                     if target.label is not payload:
                         break
@@ -442,7 +439,7 @@ def evaluate(program, expr, max_steps=None, trace=False):
         else:  # no rule matches: a compiler invariant broke
             outcome = None
             break
-        matches += fetches
+        matches += len(fetched)
         _, binds, cls, rule_allocs, rule_created, build, fresh, rule = entry
         if cls < 0:  # exempt: no rule can ever apply here
             outcome, abort_rule = "aborted", rule

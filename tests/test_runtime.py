@@ -13,7 +13,7 @@ from conftest import CORPUS_INPUTS, MODES, app, int_list
 
 from needle import (EvaluationError, build_program, evaluate, oracle_eval,
                     parse_expr, parse_system, validate_trace)
-from needle.core import H, AnyLit, App, Lit, Node, resolve
+from needle.core import H, App, Lit, Node, Var, resolve
 from needle.render import format_node, format_trace
 from needle.runtime import DEFAULT_MAX_STEPS, NoRuleError, Replay, step_budget
 
@@ -121,6 +121,8 @@ op twice(Nat) -> Nat:
 op double(Int) -> Int:
     double(n) = add(n, n);
 """
+SHARING_VALUES = {"double(3)": "6", "double(sub(5, 2))": "6",
+                  "twice(S(S(Z)))": "S(S(S(S(Z))))"}
 
 
 def test_node_matches_count_a_shared_node_once():
@@ -144,13 +146,11 @@ def test_node_matches_count_a_shared_node_once():
             "or": (3, 1, 0, 8, 11, 6, 22),
         },
     }
-    values = {"double(3)": "6", "double(sub(5, 2))": "6",
-              "twice(S(S(Z)))": "S(S(S(S(Z))))"}
     for text, per_mode in want.items():
         for mode, expected in per_mode.items():
             expr, _ = parse_expr(system, text)
             res = evaluate(build_program(system, mode), expr)
-            assert format_node(res.root) == values[text], (text, mode)
+            assert format_node(res.root) == SHARING_VALUES[text], (text, mode)
             assert counters_of(res) == expected, (text, mode)
 
 
@@ -345,52 +345,114 @@ def test_running_a_program_keeps_its_equality_and_repr(systems):
 # ---- selection order ----------------------------------------------------------
 
 
-def lhs_matches(pattern, node, resolve):
+def lhs_matches(pattern, node, resolve, read):
     """Whether `node`, read through `resolve`, is an instance of the left
-    side `pattern`: a plain walk over the pattern, apart from the runtime's
-    slot code."""
-    stack = [(pattern, node)]
+    side `pattern`: a plain first-to-last walk, apart from the runtime's slot
+    code.  Below the root it tests the positions in pre-order, left to right,
+    stops at the first failing test, and adds each node whose label it reads
+    to `read`; the root's label is known, and a variable's node is not read."""
+    node = resolve(node)
+    if node.label is not pattern.label:
+        return False
+    stack = list(zip(pattern.args, node.children))[::-1]
     while stack:
         pattern, node = stack.pop()
+        cls = pattern.__class__
+        if cls is Var:
+            continue
         node = resolve(node)
-        label, cls = node.label, pattern.__class__
+        read.add(node)
+        label = node.label
         if cls is App:
             if label is not pattern.label:
                 return False
-            stack += zip(pattern.args, node.children)
-        elif cls is Lit or cls is AnyLit:
-            if label.__class__ is not int \
-                    or (cls is Lit and label != pattern.value):
-                return False
+            stack += list(zip(pattern.args, node.children))[::-1]
+        elif label.__class__ is not int \
+                or (cls is Lit and label != pattern.value):  # Lit or AnyLit
+            return False
     return True
 
 
-def assert_first_matching_rules_fire(program, res, where):
-    replay = Replay()
+def plain_selection(program, res):
+    """The traced steps that did not fire the first of the program's rules
+    that matches their redex, and the nodes a first-to-last matcher reads
+    over the run: at each step, the distinct nodes whose labels it reads
+    while it tries the rules in order, summed over the steps."""
+    replay, misfired, reads = Replay(), [], 0
     for i, step in enumerate(res.trace):
+        read = set()
         first = next((rule for rule in program.rules
-                      if lhs_matches(rule.lhs, step.redex, replay.resolve)),
+                      if lhs_matches(rule.lhs, step.redex, replay.resolve,
+                                     read)),
                      None)
-        assert step.rule is first, (where, i)
+        if step.rule is not first:
+            misfired.append(i)
+        reads += len(read)
         replay.apply(step)
+    return misfired, reads
 
 
-def test_each_step_fires_the_first_matching_rule(systems, programs):
+@pytest.fixture(scope="module")
+def traced_runs(systems, programs):
+    """What the selection tests check, for a traced run of every corpus
+    input, of 3 ground terms of each of 80 `gen.SystemGen` seeds and of the
+    sharing inputs, in cr, tr and or: (where, outcome, node matches, the
+    steps that misfired and the plain matcher's reads, as `plain_selection`
+    gives them, and the steps whose redex does not forward one hop to a
+    live node).  Each run is dropped once checked, so that the live heap
+    stays small for the tests after these."""
+    def check(where, program, res):
+        long_hops = [i for i, step in enumerate(res.trace)
+                     if step.redex.forward is None
+                     or step.redex.forward.forward is not None]
+        return (where, res.outcome, res.counters.node_matches,
+                *plain_selection(program, res), long_hops)
+
+    checked = []
     for name, text in CORPUS_INPUTS:
         for mode in MODES:
-            res = run(systems, programs, name, mode, text, trace=True)
-            assert_first_matching_rules_fire(programs(name, mode), res,
-                                             (name, mode, text))
-    for seed in range(80):
-        generated = gen.SystemGen(random.Random(seed), 1 + seed % 44)
-        system = parse_system(generated.text(), f"gen{seed}")
+            checked.append(check(
+                (name, mode, text), programs(name, mode),
+                run(systems, programs, name, mode, text, trace=True)))
+
+    def check_system(system, terms):
         for mode in MODES:
             program = build_program(system, mode)
-            for term in generated.ground_terms(3):
+            for term in terms():
                 res = evaluate(program, parse_expr(system, term)[0],
                                max_steps=3000, trace=True)
-                assert_first_matching_rules_fire(program, res,
-                                                 (seed, mode, term))
+                checked.append(check((system.name, mode, term), program, res))
+    for seed in range(80):
+        generated = gen.SystemGen(random.Random(seed), 1 + seed % 44)
+        check_system(parse_system(generated.text(), f"gen{seed}"),
+                     lambda: generated.ground_terms(3))
+    check_system(parse_system(SHARING_SYSTEM, "sharing"),
+                 lambda: SHARING_VALUES)
+    return checked
+
+
+def test_each_step_fires_the_first_matching_rule(traced_runs):
+    for where, _, _, misfired, _, _ in traced_runs:
+        assert not misfired, (where, misfired)
+
+
+def test_node_matches_count_the_nodes_a_plain_matcher_reads(traced_runs):
+    # A run that ends in a value counted every selection it made, and each
+    # made a step, so its node matches are the plain matcher's reads.
+    values = 0
+    for where, outcome, matches, _, reads, _ in traced_runs:
+        if outcome == "value":
+            assert matches == reads, where
+            values += 1
+    assert values > len(traced_runs) // 2
+
+
+def test_a_redex_forwards_one_hop_to_a_live_node(traced_runs):
+    # `Replay.resolve` and the runtime's memory bound rely on this: the node
+    # a parent holds forwards straight to the newest contractum, whatever
+    # the run's outcome.
+    for where, _, _, _, _, long_hops in traced_runs:
+        assert not long_hops, (where, long_hops)
 
 
 # ---- memory management --------------------------------------------------------
